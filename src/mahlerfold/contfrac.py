@@ -440,21 +440,7 @@ def product_to_H(x, terms: int, order: int, precision: int = 256, analogue: str 
         for k in range(terms):
             point = xv ** (1 << k)
             if analogue == "rho":
-                prod *= _rho_numeric(point, depth)
+                prod *= rho_value(depth, point)
             else:
-                prod *= _lambda_plus_numeric(point, depth)
+                prod *= lambda_value(depth, point, plus=True)
         return abs(prod - target)
-
-
-def _rho_numeric(x, depth: int):
-    acc = mp.mpf(1)
-    for i in range(depth - 1, -1, -1):
-        acc = 1 + x ** (1 << i) / acc
-    return acc
-
-
-def _lambda_plus_numeric(x, depth: int):
-    acc = mp.mpf(1)
-    for i in range(depth - 1, -1, -1):
-        acc = x ** (1 << i) + 1 / acc
-    return acc

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contfrac import ContinuantMatrix, Word, continuants, euclid_cf, eval_irregular, IrregularCF
+from .linalg import solve
 from .poly import Polynomial, RationalFunction
 from .series import TruncatedSeries
 
@@ -664,8 +665,8 @@ def special_recursion_polys(spec, degree_budget: int = 4096) -> tuple[Polynomial
     mats = {n: engine.matrix(n) for n in range(0, max(full_levels) + 1)}
     for sigma in (1, -1):
         try:
-            P = _solve_poly_in(mats[2].p, mats[1].p, sigma, r - 1).with_int_coeffs()
-            Q = _solve_q(mats[2].q, mats[1].q, mats[1].p, P, sigma, r - 2).with_int_coeffs()
+            P = _solve_poly_in(mats[2].p, mats[1].p, sigma, r - 1)
+            Q = _solve_q(mats[2].q, mats[1].q, mats[1].p, P, sigma, r - 2)
         except _NoSolution:
             continue
         if P.coeffs and P.coeffs[-1] < 0:
@@ -771,36 +772,10 @@ def _linear_solve(cols: list[Polynomial], rhs: Polynomial):
 
 
 def _linear_solve_rows(cols: list[Polynomial], rhs: Polynomial, height: int):
-    a = [[Fraction(col.coeff(row)) for col in cols] for row in range(height)]
-    b = [Fraction(rhs.coeff(row)) for row in range(height)]
-    ncols = len(cols)
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((r for r in range(row, height) if a[r][col]), None)
-        if piv is None:
-            pivots.append(None)
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        b[row], b[piv] = b[piv], b[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        b[row] = b[row] * inv
-        for r in range(height):
-            if r != row and a[r][col]:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
-                b[r] = b[r] - factor * b[row]
-        pivots.append(row)
-        row += 1
-    solution = [0] * ncols
-    for col, piv in enumerate(pivots):
-        if piv is not None:
-            solution[col] = b[piv]
-    # consistency: rows without pivots must have zero rhs
-    for r in range(height):
-        if not any(a[r]) and b[r]:
-            return None
+    a = [[col.coeff(row) for col in cols] for row in range(height)]
+    solution = solve(a, [rhs.coeff(row) for row in range(height)], len(cols))
+    if solution is None:
+        return None
     # verify (guards the no-pivot-column case)
     total = Polynomial.zero()
     for c, col in zip(solution, cols):

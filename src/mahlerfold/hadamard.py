@@ -4,9 +4,10 @@ Becker homogenization rewrite."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
-from .poly import Polynomial, RationalFunction
+from .linalg import first_null_vector, rank
+from .poly import Polynomial, RationalFunction, _to_int_coeffs
 from .series import MahlerEquation, TruncatedSeries
 
 
@@ -65,37 +66,11 @@ def is_complete_hadamard_rational(f: RationalFunction) -> CompleteHadamardResult
         g = h.gcd(_pow_x_mod(d, h) - Polynomial.one())
         if g.degree > 0:
             h = (h // g).monic()
-            m = _lcm(m, d)
+            m = lcm(m, d)
             if h.degree <= 0:
                 return CompleteHadamardResult(True, m=m)
-    return CompleteHadamardResult(False, witness=_integerize(h))
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
-def _integerize(p: Polynomial) -> Polynomial:
-    """Scale a rational-coefficient polynomial to primitive integer form."""
-    dens = [Fraction(c).denominator for c in p.coeffs]
-    if not dens:
-        return p
-    lcm = 1
-    for d in dens:
-        lcm = _lcm(lcm, d)
-    ints = [int(Fraction(c) * lcm) for c in p.coeffs]
-    from math import gcd
-
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
-    return Polynomial(ints)
+    # h is monic, so its primitive integer multiple has a positive lead
+    return CompleteHadamardResult(False, witness=Polynomial(_to_int_coeffs(h.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,33 +110,8 @@ def k_kernel(seq, k: int, depth: int) -> KernelReport:
         step = k**e
         for r in range(step):
             rows.append(tuple(seq[r + step * i] for i in range(width)))
-    distinct = len(set(rows))
-    rank = _rank([list(map(Fraction, row)) for row in set(rows)])
-    return KernelReport(k, depth, distinct, rank)
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    col = 0
-    rows = [row[:] for row in rows]
-    while col < width and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    distinct = set(rows)
+    return KernelReport(k, depth, len(distinct), rank([list(row) for row in distinct], width))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +260,7 @@ def _nullspace_first(h: TruncatedSeries, k: int, d: int, deg_max: int):
     order = h.order
     rows = []
     for n in range(order + 1):
-        row = [Fraction(0)] * ncols
+        row = [0] * ncols
         nonzero = False
         for i in range(d + 1):
             ki = k**i
@@ -322,47 +272,8 @@ def _nullspace_first(h: TruncatedSeries, k: int, d: int, deg_max: int):
                 idx = (n - j) // ki
                 c = h.coeffs[idx]
                 if c:
-                    row[i * (deg_max + 1) + j] += Fraction(c)
+                    row[i * (deg_max + 1) + j] += c
                     nonzero = True
         if nonzero:
             rows.append(row)
-    # RREF; track pivot columns
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                fac = rows[i][col]
-                rows[i] = [v - fac * w for v, w in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    # basis vector for the first free column
-    fc = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[fc] = Fraction(1)
-    for col, row in pivots.items():
-        vec[col] = -rows[row][fc]
-    # clear denominators
-    lcm = 1
-    for v in vec:
-        lcm = _lcm(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    from math import gcd
-
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    return first_null_vector(rows, ncols)

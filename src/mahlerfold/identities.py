@@ -44,20 +44,12 @@ def _poly(coeffs) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _check_prop_fgh(order: int, corrupt=None) -> IdentityReport:
+def _check_prop_fgh(order: int) -> IdentityReport:
     f = expand_named("F", order)
     g = expand_named("G", order)
     i = expand_named("I", order)
-    if corrupt is not None:
-        i = _corrupt(i, corrupt)
     rhs = _sub(f, 3).shift(1) + _sub(g, 3)
     return _series_report("propFGH", i, rhs)
-
-
-def _corrupt(s: TruncatedSeries, index: int) -> TruncatedSeries:
-    coeffs = list(s.coeffs)
-    coeffs[index] = coeffs[index] + 1
-    return TruncatedSeries(coeffs, s.order)
 
 
 def _check_cross_gg(order: int) -> IdentityReport:

@@ -1,0 +1,76 @@
+"""Exact linear algebra over Q: one Gauss-Jordan elimination and the rank,
+solve and null-vector queries built on it.
+
+Matrices are lists of rows whose entries are ``int`` or ``Fraction``; every
+routine reduces the rows it is given in place.
+"""
+
+from __future__ import annotations
+
+from .poly import _exact_div, _to_int_coeffs
+
+
+def rref(rows: list[list], ncols: int) -> dict[int, list]:
+    """Reduce ``rows`` in place to reduced row echelon form in columns < ncols.
+
+    Columns are taken in order and the pivot is the first remaining row with
+    a nonzero entry there.  Returns {pivot column: its row}, whose pivot entry
+    is 1; the rows are reordered so that the pivot rows come first.
+    """
+    pivot_cols = []
+    for col in range(ncols):
+        r = len(pivot_cols)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = _exact_div(1, rows[r][col])
+        if inv != 1:
+            rows[r] = [v * inv for v in rows[r]]
+        pivot = rows[r]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != r and factor:
+                rows[i] = [v - factor * w for v, w in zip(row, pivot)]
+        pivot_cols.append(col)
+    return dict(zip(pivot_cols, rows))
+
+
+def rank(rows: list[list], ncols: int) -> int:
+    """Rank over Q of the matrix ``rows`` with ``ncols`` columns."""
+    return len(rref(rows, ncols))
+
+
+def solve(rows: list[list], rhs: list, ncols: int) -> list | None:
+    """One x with rows . x = rhs (free unknowns 0), or None when inconsistent.
+
+    The rhs is appended to the rows as an extra column; a pivot in that
+    column is a row 0 = nonzero.
+    """
+    for row, b in zip(rows, rhs):
+        row.append(b)
+    pivots = rref(rows, ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for col, row in pivots.items():
+        # the pivot is 1, but elimination can leave Fraction(n, 1) entries;
+        # the division returns those as int
+        x[col] = _exact_div(row[ncols], row[col])
+    return x
+
+
+def first_null_vector(rows: list[list], ncols: int) -> list[int] | None:
+    """Primitive integer kernel vector for the first free column, or None when
+    the kernel is trivial."""
+    pivots = rref(rows, ncols)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    vec = [0] * ncols
+    vec[free] = 1
+    for col, row in pivots.items():
+        vec[col] = -row[free]
+    return _to_int_coeffs(vec)

@@ -231,7 +231,7 @@ class Polynomial:
             g = _int_gcd(a, b)
             lead = g[-1]
             if lead != 1:
-                g = [Fraction(c, lead) for c in g]
+                g = [_exact_div(c, lead) for c in g]
             return Polynomial(g)
         x, y = self, other
         while y:
@@ -291,17 +291,6 @@ class Polynomial:
 
     def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def with_int_coeffs(self) -> Polynomial:
-        """Demote Fraction(n, 1) coefficients to plain ints (fast paths)."""
-        if all(type(c) is int for c in self.coeffs):
-            return self
-        if all(
-            type(c) is int or (isinstance(c, Fraction) and c.denominator == 1)
-            for c in self.coeffs
-        ):
-            return Polynomial([int(c) for c in self.coeffs])
-        return self
 
     def is_integer(self) -> bool:
         """True when every coefficient is an integer (denominator 1)."""
@@ -428,11 +417,14 @@ def _is_scalar(v) -> bool:
 
 
 def _exact_div(a, b):
+    """a / b exactly.  A rational quotient that is an integer is an ``int``,
+    so integer data stays on the integer fast paths; other fields use ``/``."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) / Fraction(b)
+        q = Fraction(a) / Fraction(b)
+        return q.numerator if q.denominator == 1 else q
     return a / b
 
 
@@ -615,6 +607,8 @@ def parse_rational(text: str, var: str | None = None) -> RationalFunction:
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise ExprError(f"unexpected end of expression in {text!r}")
         t = tokens[pos]
         pos += 1
         return t
@@ -622,18 +616,13 @@ def parse_rational(text: str, var: str | None = None) -> RationalFunction:
     names = set()
 
     def atom() -> RationalFunction:
-        t = peek()
-        if t is None:
-            raise ExprError(f"unexpected end of expression in {text!r}")
+        t = take()
         if t[0] == "int":
-            take()
             return RationalFunction.constant(t[1])
         if t[0] == "name":
-            take()
             names.add(t[1])
             return RationalFunction.x()
         if t == ("op", "("):
-            take()
             e = expr()
             if peek() != ("op", ")"):
                 raise ExprError(f"missing ')' in {text!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, RationalFunction, _list_mul
+from .poly import Polynomial, RationalFunction, _exact_div, _list_mul
 
 
 class TruncatedSeries:
@@ -130,7 +130,7 @@ class TruncatedSeries:
         out = [0] * (n + 1)
         rem = list(self.coeffs[: n + 1])
         for i in range(n + 1):
-            c = rem[i] if d0 == 1 else _div(rem[i], d0)
+            c = rem[i] if d0 == 1 else _exact_div(rem[i], d0)
             out[i] = c
             if c:
                 for j in range(1, n + 1 - i):
@@ -186,12 +186,6 @@ class TruncatedSeries:
     def __repr__(self):
         head = list(self.coeffs[: min(8, self.order + 1)])
         return f"TruncatedSeries({head}..., order={self.order})"
-
-
-def _div(a, b):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) / Fraction(b)
-    return a / b
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +410,7 @@ def solve_mahler(eq: MahlerEquation, order: int) -> TruncatedSeries:
                     target,
                 )
         else:
-            value = _div(-total, coef_target) if total else 0
+            value = _exact_div(-total, coef_target) if total else 0
             if norm is not None and norm[0] == target and value != norm[1]:
                 raise MahlerSolveError(
                     f"normalization {norm[1]} contradicts forced value {value} "

@@ -345,6 +345,14 @@ def test_special_polys_degree_dominance():
         assert p.degree >= q.degree
 
 
+def test_special_polys_have_int_coefficients():
+    # the four-reference chain's elimination leaves Fraction(n, 1) entries
+    chain4 = parse_fold_spec("bases:[] ; rule: w1, x, -~w1, x, w1, x, -~w1")
+    for spec in ("dragon", chain4):
+        p, q = special_recursion_polys(spec)
+        assert all(type(c) is int for c in p.coeffs + q.coeffs)
+
+
 def test_special_rejects_non_special():
     with pytest.raises(NotSpecialError):
         special_recursion_polys("cubic")

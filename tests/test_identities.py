@@ -1,9 +1,9 @@
 import pytest
 
 from mahlerfold.identities import REGISTRY, identity_ids, verify_series_identity
-from mahlerfold.identities import _check_prop_fgh
+from mahlerfold.identities import _series_report
 from mahlerfold.poly import Polynomial
-from mahlerfold.series import truncated_partial
+from mahlerfold.series import TruncatedSeries, expand_named, truncated_partial
 
 
 def test_prop_fgh_holds_at_256():
@@ -46,7 +46,11 @@ def test_hn_nonlinear_base_case():
 
 
 def test_corrupted_coefficient_is_detected():
-    report = _check_prop_fgh(64, corrupt=13)
+    f, g, i = (expand_named(name, 64) for name in "FGI")
+    coeffs = list(i.coeffs)
+    coeffs[13] += 1
+    rhs = f.substitute_power(3).shift(1) + g.substitute_power(3)
+    report = _series_report("propFGH", TruncatedSeries(coeffs, 64), rhs)
     assert not report.holds
     assert report.first_failure == 13
 

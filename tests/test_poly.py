@@ -129,3 +129,5 @@ def test_parse_rational():
         parse_poly("x + y")
     with pytest.raises(ExprError):
         parse_poly("1/(1-x)")
+    with pytest.raises(ExprError, match="unexpected end of expression"):
+        parse_rational("x^")

@@ -112,6 +112,13 @@ def test_solve_H():
     assert solve_mahler(eq, 16).coeffs == expand_named("H", 16).coeffs
 
 
+def test_solve_H_keeps_int_coefficients():
+    # integral quotients come back as int, which keeps the re-substitution
+    # residual on the integer multiplication path
+    eq = _eq(2, [P.one(), P([-1]), P([0, -1])], norm=1)
+    assert all(type(c) is int for c in solve_mahler(eq, 256).coeffs)
+
+
 def test_solve_paperfolding():
     # (1+x^2) P(x) = (x+x^3) P(x^2) + 1
     eq = _eq(2, [P([1, 0, 1]), P([0, -1, 0, -1])], inhom=P([-1]))
