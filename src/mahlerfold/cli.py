@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (argparse's
-default).  All outputs are deterministic for fixed arguments; JSON payloads
-carry a top-level "schema": 1 field.
+Exit codes: 0 success, 1 verification failure, 2 usage error: argparse's
+rejections and any domain error raised by bad input, which ``main`` reports
+as one ``mahlerfold: error: ...`` line on stderr.  All outputs are
+deterministic for fixed arguments; JSON payloads carry a top-level
+"schema": 1 field.
 """
 
 from __future__ import annotations
@@ -158,11 +160,16 @@ def cmd_verify(args) -> int:
 def _parse_point(text: str):
     if "/" in text and "j" not in text and "i" not in text:
         return Fraction(text)
-    return mp.mpmathify(text)
+    try:
+        return mp.mpmathify(text)
+    except TypeError:
+        raise ValueError(f"bad point {text!r}") from None
 
 
 def _parse_word_json(text: str) -> contfrac.Word:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("--word must be a JSON object")
     entries = tuple(_parse_entry(e) for e in data.get("entries", []))
     head = data.get("head")
     return contfrac.Word(entries, _parse_entry(head) if head is not None else None)
@@ -199,19 +206,17 @@ def cmd_cf(args) -> int:
         return 0
     if args.cf_cmd == "rho":
         if args.point and args.point.startswith("root:"):
-            a = int(args.point[5:].split("/")[0])
-            denom = int(args.point[5:].split("/")[1])
+            a, _, denom = args.point[5:].partition("/")
+            a, denom = int(a), int(denom)
             n = denom.bit_length() - 1
-            if 1 << n != denom:
-                print("root denominator must be a power of two", file=sys.stderr)
-                return 2
+            if denom < 1 or 1 << n != denom:
+                raise ValueError("root denominator must be a power of two")
             value = contfrac.rho_at_root_of_unity(n, a, args.bits)
             _emit({"value": str(value)}, args.json)
             return 0
         point = _parse_point(args.point) if args.point else None
         if point is None:
-            print("cf rho requires --point", file=sys.stderr)
-            return 2
+            raise ValueError("cf rho requires --point")
         with mp.workprec(args.bits):
             value = contfrac.rho_value(args.n, point)
         _emit({"value": str(value)}, args.json)
@@ -276,14 +281,13 @@ def cmd_curve(args) -> int:
     if args.curve_cmd == "render":
         paths = [path]
         if args.overlay is not None:
-            parts = args.overlay.split(":")
-            transform = parts[2] if len(parts) > 2 else ""
-            oword = folding.iterate_fold(folding.resolve_spec(parts[0]), int(parts[1]))
+            ospec, _, rest = args.overlay.partition(":")
+            level, _, transform = rest.partition(":")
+            oword = folding.iterate_fold(folding.resolve_spec(ospec), int(level))
             if transform == "negrev":
                 oword = [-s for s in reversed(oword)]
             elif transform:
-                print(f"unknown overlay transform {transform!r}", file=sys.stderr)
-                return 2
+                raise ValueError(f"unknown overlay transform {transform!r}")
             paths.append(curve.path_from_signs(oword))
         svg = curve.export_svg(paths, palette=args.palette)
         if args.out == "-":
@@ -398,6 +402,13 @@ def cmd_fib(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mahlerfold")
     parser.add_argument("--json", action="store_true", help="emit JSON")
@@ -505,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     fib_sub = p.add_subparsers(dest="fib_cmd", required=True)
     q = fib_sub.add_parser("identity", parents=[common])
     q.add_argument("--id", required=True, choices=list(fiblucas.IDENTITY_IDS))
-    q.add_argument("--terms", type=int, default=10)
+    q.add_argument("--terms", type=positive_int, default=10)
     q.set_defaults(func=cmd_fib)
 
     return parser
@@ -514,7 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError, folding.DegreeCapExceeded) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

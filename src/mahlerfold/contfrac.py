@@ -3,17 +3,21 @@
 Everything is generic over the coefficient ring: exact rationals, polynomials,
 rational functions, Q(sqrt5) elements or mpmath big-floats all work, since the
 code only uses +, -, * (and / for evaluation).
+
+``ContinuantMatrix.push`` is the one place the three-term recurrence
+p_n = a_n p_{n-1} + b_n p_{n-2} is applied; ``eval_irregular`` is the one
+back-to-front evaluator, and every scalar quotient goes through
+``poly._exact_div``, so an integral value comes back as an ``int``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, _exact_div
 from .quadfield import PHI, GaussianRational, QuadNum
 from .series import TruncatedSeries, expand_named
 
@@ -72,6 +76,17 @@ class ContinuantMatrix:
             self.q * other.p_prev + self.q_prev * other.q_prev,
         )
 
+    def push(self, a, b=1) -> ContinuantMatrix:
+        """Right-multiply by the Key Lemma factor (a, 1; b, 0).
+
+        This is the recurrence p_n = a p_{n-1} + b p_{n-2} (likewise for q);
+        with b = 1 it costs two ring products.
+        """
+        p_prev, q_prev = self.p_prev, self.q_prev
+        if b != 1:
+            p_prev, q_prev = p_prev * b, q_prev * b
+        return ContinuantMatrix(self.p * a + p_prev, self.p, self.q * a + q_prev, self.q)
+
     def transpose(self) -> ContinuantMatrix:
         return ContinuantMatrix(self.p, self.q, self.p_prev, self.q_prev)
 
@@ -84,24 +99,15 @@ class ContinuantMatrix:
 
     def ratio(self):
         """p/q as an exact quotient (RationalFunction for polynomial entries)."""
-        if isinstance(self.p, Polynomial) or isinstance(self.q, Polynomial):
+        if isinstance(self.p, Polynomial):
             return RationalFunction(self.p, self.q)
-        if isinstance(self.p, int) and isinstance(self.q, int):
-            return Fraction(self.p, self.q)
-        return self.p / self.q
+        return _divide(self.p, self.q)
 
 
 def _identity_like(sample) -> ContinuantMatrix:
     zero = sample * 0
     one = zero + 1
     return ContinuantMatrix(one, zero, zero, one)
-
-
-def step_matrix(a) -> ContinuantMatrix:
-    """The Key Lemma factor (a, 1; 1, 0)."""
-    zero = a * 0
-    one = zero + 1
-    return ContinuantMatrix(a, one, one, zero)
 
 
 def continuants(word: Word) -> ContinuantMatrix:
@@ -115,7 +121,7 @@ def continuants(word: Word) -> ContinuantMatrix:
         raise ValueError("continuants of a completely empty word are undefined; give a head")
     mat = _identity_like(symbols[0])
     for a in symbols:
-        mat = mat.mul(step_matrix(a))
+        mat = mat.push(a)
     return mat
 
 
@@ -131,13 +137,8 @@ def eval_regular(word: Word, point=None, zero_tol=None):
     symbols = word.symbols()
     if not symbols:
         raise ValueError("cannot evaluate an empty continued fraction")
-    vals = [_at(a, point) for a in symbols]
-    acc = vals[-1]
-    for depth in range(len(vals) - 2, -1, -1):
-        if _is_zero(acc, zero_tol):
-            raise DivisionByZero(depth + 1)
-        acc = vals[depth] + _invert(acc)
-    return acc
+    pairs = tuple((1, a) for a in symbols[1:])
+    return eval_irregular(IrregularCF(symbols[0], pairs), point, zero_tol)
 
 
 def _is_zero(v, zero_tol) -> bool:
@@ -154,16 +155,11 @@ def _at(a, point):
     return a
 
 
-def _invert(v):
-    if isinstance(v, int):
-        return Fraction(1, v)
-    if isinstance(v, Fraction):
-        return 1 / v
+def _divide(b, v):
+    """b / v exactly: a RationalFunction over a polynomial, else ``_exact_div``."""
     if isinstance(v, Polynomial):
-        return RationalFunction(Polynomial.one(), v)
-    if isinstance(v, QuadNum):
-        return v.inverse()
-    return 1 / v
+        return RationalFunction(b, v)
+    return _exact_div(b, v)
 
 
 @dataclass(frozen=True)
@@ -177,19 +173,17 @@ class IrregularCF:
 def eval_irregular(cf: IrregularCF, point=None, zero_tol=None):
     """Back-to-front value of an irregular continued fraction.
 
-    DivisionByZero carries the 1-based level of the vanishing subfraction.
+    DivisionByZero carries the level of the vanishing subfraction (the one
+    starting at a_k has level k; a_0 is level 0).
     """
-    if not cf.pairs:
-        return _at(cf.a0, point)
-    acc = _at(cf.pairs[-1][1], point)
-    for depth in range(len(cf.pairs) - 2, -1, -1):
+    partials = (cf.a0,) + tuple(a for _, a in cf.pairs)
+    acc = _at(partials[-1], point)
+    for depth in range(len(cf.pairs), 0, -1):
         if _is_zero(acc, zero_tol):
-            raise DivisionByZero(depth + 2)
-        b_next = _at(cf.pairs[depth + 1][0], point)
-        acc = _at(cf.pairs[depth][1], point) + b_next * _invert(acc)
-    if _is_zero(acc, zero_tol):
-        raise DivisionByZero(1)
-    return _at(cf.a0, point) + _at(cf.pairs[0][0], point) * _invert(acc)
+            raise DivisionByZero(depth)
+        b = _at(cf.pairs[depth - 1][0], point)
+        acc = _at(partials[depth - 1], point) + _divide(b, acc)
+    return acc
 
 
 def irregular_continuants(cf: IrregularCF) -> ContinuantMatrix:
@@ -198,12 +192,10 @@ def irregular_continuants(cf: IrregularCF) -> ContinuantMatrix:
     Pure ring arithmetic (no quotient normalization), so it stays cheap for
     polynomial entries of large degree.
     """
-    p_prev, q_prev = cf.a0 * 0 + 1, cf.a0 * 0  # p_{-1}, q_{-1}
-    p, q = cf.a0, cf.a0 * 0 + 1
+    mat = _identity_like(cf.a0).push(cf.a0)
     for b, a in cf.pairs:
-        p, p_prev = a * p + b * p_prev, p
-        q, q_prev = a * q + b * q_prev, q
-    return ContinuantMatrix(p, p_prev, q, q_prev)
+        mat = mat.push(a, b)
+    return mat
 
 
 def fold(word: Word, a0, t) -> tuple[Word, ContinuantMatrix]:
@@ -293,11 +285,17 @@ def rho_rational(n: int) -> RationalFunction:
 def rho_value(n: int, x, zero_tol=None):
     """rho_n at a point, evaluated back-to-front without materializing the
     dense x^(2^i) monomials (exact for Fraction/QuadNum, numeric for mpf)."""
-    acc = x * 0 + 1
+    return _unwind_rho(n, x, x * 0 + 1, zero_tol)
+
+
+def _unwind_rho(n: int, x, tail, zero_tol=None):
+    """1 + x/(1 + x^2/(... 1 + x^(2^(n-1))/tail)): rho_n with its innermost
+    1 replaced by ``tail``."""
+    acc = tail
     for i in range(n - 1, -1, -1):
         if _is_zero(acc, zero_tol):
             raise DivisionByZero(i + 1)
-        acc = 1 + x ** (1 << i) * _invert(acc)
+        acc = 1 + _divide(x ** (1 << i), acc)
     return acc
 
 
@@ -316,10 +314,10 @@ def lambda_value(n: int, x, plus: bool = False, zero_tol=None):
     for i in range(top, 0, -1):
         if _is_zero(acc, zero_tol):
             raise DivisionByZero(i + 1)
-        acc = x ** (1 << i) + _invert(acc)
+        acc = x ** (1 << i) + _divide(1, acc)
     if _is_zero(acc, zero_tol):
         raise DivisionByZero(1)
-    return x + _invert(acc)
+    return x + _divide(1, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +384,13 @@ def rho_at_root_of_unity(n: int, a: int = 1, precision: int = 256, exact: bool =
         if n == 0:
             return PHI
         if n == 1:
-            return _unwind_exact(QuadNum(-1, 0), n)
+            return _unwind_rho(n, QuadNum(-1, 0), PHI)
         if n == 2:
             i_unit = QuadNum(GaussianRational(0, 1 if a % 4 == 1 else -1), GaussianRational(0))
-            return _unwind_exact(i_unit, n)
+            return _unwind_rho(n, i_unit, PHI)
     with mp.workprec(precision):
         zeta = mp.e ** (2j * mp.pi * a / (1 << n))
-        v = PHI.to_mp()
-        for k in range(n - 1, -1, -1):
-            v = 1 + zeta ** (1 << k) / v
-        return v
-
-
-def _unwind_exact(zeta: QuadNum, n: int) -> QuadNum:
-    v = PHI
-    for k in range(n - 1, -1, -1):
-        v = 1 + zeta ** (1 << k) * v.inverse()
-    return v
+        return _unwind_rho(n, zeta, PHI.to_mp())
 
 
 def rho_sum_over_roots(n: int, precision: int = 256):

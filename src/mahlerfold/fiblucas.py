@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .contfrac import IrregularCF, eval_irregular
 from .poly import Polynomial, RationalFunction, parse_rational
 from .quadfield import PHI, SQRT5, QuadNum
 
@@ -173,10 +174,8 @@ class CFRow:
     def evaluate(self, terms: int) -> Fraction:
         if terms < 4:
             raise ValueError("need at least 4 terms")
-        acc = Fraction(self.den(terms))
-        for n in range(terms - 1, 0, -1):
-            acc = Fraction(self.den(n)) + Fraction(self.num(n + 1)) / acc
-        return self.head + Fraction(self.num(1)) / acc
+        pairs = tuple((self.num(n), self.den(n)) for n in range(1, terms + 1))
+        return eval_irregular(IrregularCF(self.head, pairs))
 
 
 def _rf(text: str) -> RationalFunction:

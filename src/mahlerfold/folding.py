@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .contfrac import ContinuantMatrix, Word, continuants, euclid_cf, eval_irregular, IrregularCF
+from .contfrac import ContinuantMatrix, Word, _identity_like, euclid_cf, eval_irregular, IrregularCF
 from .linalg import solve
 from .poly import Polynomial, RationalFunction
 from .series import TruncatedSeries
@@ -259,34 +258,25 @@ class FoldEngine:
     def __init__(self, spec, x):
         self.spec = resolve_spec(spec)
         self.x = x
-        zero = x * 0
-        one = zero + 1
-        self._zero, self._one = zero, one
-        self._identity = ContinuantMatrix(one, zero, zero, one)
-        base = {}
+        self._cache = {}
         for i, b in enumerate(self.spec.bases):
-            mat = self._identity
+            mat = _identity_like(x)
             for s in b:
-                mat = mat.mul(self._step(s))
-            base[i] = (mat, len(b))
-        self._cache = base
+                mat = mat.push(x if s > 0 else -x)
+            self._cache[i] = (mat, len(b))
         self._top = len(self.spec.bases) - 1
-
-    def _step(self, sign: int) -> ContinuantMatrix:
-        a = self.x if sign > 0 else -self.x
-        return ContinuantMatrix(a, self._one, self._one, self._zero)
 
     def matrix(self, n: int) -> ContinuantMatrix:
         """Continuant matrix of the headless word w_n (Key Lemma product)."""
         if n < 0:
             raise ValueError("n must be >= 0")
         for m in range(self._top + 1, n + 1):
-            mat = self._identity
+            mat = _identity_like(self.x)
             length = 0
             for it in self.spec.rule:
                 if isinstance(it, RuleConst):
                     s = it.sign * (-1 if (it.parity and m % 2) else 1)
-                    mat = mat.mul(self._step(s))
+                    mat = mat.push(self.x if s > 0 else -self.x)
                     length += 1
                 else:
                     ref, ref_len = self._cache[m - it.depth]
@@ -304,8 +294,7 @@ class FoldEngine:
 
     def with_head(self, n: int, head) -> ContinuantMatrix:
         """Continuant matrix of [head; w_n]."""
-        step = ContinuantMatrix(head, self._one, self._one, self._zero)
-        return step.mul(self.matrix(n))
+        return _identity_like(head).push(head).mul(self.matrix(n))
 
 
 def fold_continuants(spec, n: int, head: Polynomial | None = None) -> ContinuantMatrix:
@@ -339,14 +328,8 @@ def fold_continuants_series(spec, n: int, order: int, head=None) -> ContinuantMa
 
 def fold_value(spec, n: int, x, head=None):
     """p/q of [head; w_n] (or of w_n alone) at a scalar x, exactly."""
-    spec = resolve_spec(spec)
     engine = FoldEngine(spec, x)
-    mat = engine.matrix(n) if head is None else engine.with_head(n, head)
-    if isinstance(mat.p, int) and isinstance(mat.q, int):
-        if mat.q == 0:
-            raise ZeroDivisionError("vanishing continuant denominator")
-        return Fraction(mat.p, mat.q)
-    return mat.p / mat.q
+    return (engine.matrix(n) if head is None else engine.with_head(n, head)).ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -699,18 +682,11 @@ def _check_special_light(spec, levels, P, Q, sigma) -> bool:
         mat = series_engine.matrix(n)
         prev = series_engine.matrix(n - 1)
         arg = TruncatedSeries.x(order) * (prev.p * sigma)
-        p_rhs = (prev.p * sigma) * _poly_at_series(P, arg)
-        q_rhs = prev.q * _poly_at_series(P, arg) + _poly_at_series(Q, arg)
+        p_rhs = (prev.p * sigma) * P(arg)
+        q_rhs = prev.q * P(arg) + Q(arg)
         if mat.p * sigma != p_rhs or mat.q != q_rhs:
             return False
     return True
-
-
-def _poly_at_series(p: Polynomial, arg: TruncatedSeries) -> TruncatedSeries:
-    result = TruncatedSeries.zero(arg.order)
-    for c in reversed(p.coeffs):
-        result = result * arg + c
-    return result
 
 
 class _NoSolution(Exception):

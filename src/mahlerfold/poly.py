@@ -559,10 +559,7 @@ class RationalFunction:
         den = self.den(point)
         if not den:
             raise ZeroDivisionError("pole of rational function")
-        num = self.num(point)
-        if isinstance(num, int) and isinstance(den, int):
-            return Fraction(num, den)
-        return num / den
+        return _exact_div(self.num(point), den)
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"

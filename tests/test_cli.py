@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -195,3 +197,48 @@ def test_fib_identity_table_row(capsys):
     code, out = run(capsys, "--json", "fib", "identity", "--id", "table-3", "--terms", "12")
     payload = json.loads(out)
     assert payload["expected"] == "-1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cf", "euclid", "--num", "x^", "--den", "1"],
+        ["expand", "--name", "H", "--order", "-3"],
+        ["cf", "rho", "--point", "root:3/0"],
+        ["cf", "rho", "--point", "root:3"],
+        ["cf", "rho", "--point", "abc"],
+        ["cf", "eval", "--word", "{bad"],
+        ["cf", "eval", "--word", "[1, 2]"],
+        ["fold", "iterate", "--spec", "bogus", "--n", "3"],
+        ["hadamard", "complete", "--rational", "1/q"],
+        ["fold", "cohn", "--poly", "x^9+1", "--nmax", "6"],
+        ["fib", "identity", "--id", "lucas", "--terms", "3"],
+        ["curve", "render", "--spec", "dragon", "--n", "3", "--out", "-", "--overlay", "rho"],
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("mahlerfold: error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_fib_terms_must_be_positive(capsys, terms):
+    with pytest.raises(SystemExit) as err:
+        main(["fib", "identity", "--id", "good", "--terms", terms])
+    assert err.value.code == 2
+    assert "--terms: must be >= 1" in capsys.readouterr().err
+
+
+def test_bad_input_process_exit_code():
+    # the exit status and stderr of a real process, not just main's return value
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mahlerfold.cli", "cf", "euclid", "--num", "x^", "--den", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "mahlerfold: error: unexpected end of expression in 'x^'\n"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerfold.contfrac import (
+    ContinuantMatrix,
     DivisionByZero,
     IrregularCF,
     Word,
@@ -125,6 +126,73 @@ def test_eval_matches_continuants_mixed_signs(entries, head):
         return
     if mat.q:
         assert value == Fraction(mat.p, mat.q)
+
+
+# ---------------------------------------------------------------------------
+# The kernel against literal references: Key Lemma products built from
+# ContinuantMatrix.mul, and a back-to-front loop written out here.
+# ---------------------------------------------------------------------------
+
+_scalars = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+
+
+def _factor(a, b=1):
+    return ContinuantMatrix(a, 1, b, 0)
+
+
+@given(st.lists(_scalars, min_size=1, max_size=10), st.one_of(st.none(), _scalars))
+@settings(max_examples=150, deadline=None)
+def test_continuants_equal_literal_product(entries, head):
+    word = Word(tuple(entries), head)
+    literal = ContinuantMatrix(1, 0, 0, 1)
+    for a in word.symbols():
+        literal = literal.mul(_factor(a))
+    assert continuants(word) == literal
+
+
+@given(_scalars, st.lists(st.tuples(_scalars, _scalars), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_irregular_continuants_equal_literal_product(a0, pairs):
+    literal = _factor(a0)
+    for b, a in pairs:
+        literal = literal.mul(_factor(a, b))
+    assert irregular_continuants(IrregularCF(a0, tuple(pairs))) == literal
+
+
+def _literal_back_to_front(symbols):
+    """("value", v) or ("undefined", depth) for [s_0; s_1, ..., s_n]."""
+    acc = Fraction(symbols[-1])
+    for depth in range(len(symbols) - 2, -1, -1):
+        if acc == 0:
+            return "undefined", depth + 1
+        acc = symbols[depth] + 1 / acc
+    return "value", acc
+
+
+@given(st.lists(_scalars, min_size=1, max_size=10), st.one_of(st.none(), _scalars))
+@settings(max_examples=200, deadline=None)
+def test_eval_regular_matches_literal_loop(entries, head):
+    word = Word(tuple(entries), head)
+    try:
+        got = "value", eval_regular(word)
+    except DivisionByZero as exc:
+        got = "undefined", exc.depth
+    assert got == _literal_back_to_front(word.symbols())
+
+
+def test_integral_quotients_are_int():
+    from mahlerfold.folding import fold_value
+
+    for value, expected in [
+        (RationalFunction(P([0, 2]))(3), 6),
+        (eval_regular(Word((1,), head=1)), 2),
+        (fold_value("dragon", 1, 1, head=1), 2),
+    ]:
+        assert type(value) is int and value == expected
+    assert continuants(Word((2,), head=2)).ratio() == Fraction(5, 2)
 
 
 def test_eval_regular_phi():
