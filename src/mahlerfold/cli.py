@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error: argparse's
-rejections and any domain error raised by bad input, which ``main`` reports
-as one ``mahlerfold: error: ...`` line on stderr.  All outputs are
-deterministic for fixed arguments; JSON payloads carry a top-level
-"schema": 1 field.
+rejections (its usage message only, also under ``--json``) and any domain
+error raised by bad input after parsing, which ``main`` reports as one
+``mahlerfold: error: ...`` line on stderr (under ``--json`` also as
+{"error": ..., "schema": 1} on stdout).  All outputs are deterministic for
+fixed arguments; JSON payloads carry a top-level "schema": 1 field.
 """
 
 from __future__ import annotations
@@ -383,14 +384,27 @@ def cmd_hadamard(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _exact_str(value) -> str:
+    """str() of an exact value whose integers may have more digits than
+    Python's int-to-str limit, which guards parsing input, not our output."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_fib(args) -> int:
     result = fiblucas.run_identity(args.id, args.terms, args.bits)
     delta = result.delta_mp(args.bits)
     payload = {
         "id": args.id,
         "terms": args.terms,
-        "expected": str(result.expected),
-        "computed": str(result.computed),
+        "expected": _exact_str(result.expected),
+        "computed": _exact_str(result.computed),
         "delta": mp.nstr(delta, 8),
     }
     _emit(payload, args.json)
@@ -529,6 +543,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, folding.DegreeCapExceeded) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        if args.json:
+            _emit({"error": str(exc)}, True)
         return 2
 
 

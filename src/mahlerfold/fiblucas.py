@@ -342,8 +342,21 @@ IDENTITY_IDS = ("good", "fl-ratio", "hideyuki", "lucas", "table-1", "table-2",
                 "table-3", "table-4", "table-5", "table-6")
 
 
+# Term n of every identity involves F(2^n) and L(2^n), about phi^(2^n), so the
+# exact value at ``terms`` has numerators and denominators of under
+# 2^(terms + 2) bits.  Past 2^20 bits (terms > 18) computing and printing it
+# takes from seconds to minutes, and each further term multiplies that by 4.
+MAX_RESULT_BITS_LOG2 = 20
+
+
 def run_identity(identity: str, terms: int, precision: int = 256):
-    """Dispatch an identity id to its exact evaluation."""
+    """Dispatch an identity id to its exact evaluation; refuse a ``terms``
+    whose result would exceed 2^MAX_RESULT_BITS_LOG2 bits."""
+    if terms + 2 > MAX_RESULT_BITS_LOG2:
+        raise ValueError(
+            f"{terms} terms give exact values of up to 2^{terms + 2} bits, over the cap "
+            f"of 2^{MAX_RESULT_BITS_LOG2} bits (terms <= {MAX_RESULT_BITS_LOG2 - 2})"
+        )
     if identity == "good":
         return good_identity(terms)
     if identity == "fl-ratio":

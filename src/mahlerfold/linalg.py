@@ -2,7 +2,12 @@
 solve and null-vector queries built on it.
 
 Matrices are lists of rows whose entries are ``int`` or ``Fraction``; every
-routine reduces the rows it is given in place.
+routine that eliminates reduces the rows it is given in place.
+
+``first_null_vector`` first computes the rank modulo the prime p = 2^61 - 1.
+A minor that is nonzero mod p is nonzero over Q, so the rank mod p is a lower
+bound on the rank over Q; when it already equals the number of columns, it
+proves the kernel trivial.  Only the other cases run the exact elimination.
 """
 
 from __future__ import annotations
@@ -38,6 +43,42 @@ def rref(rows: list[list], ncols: int) -> dict[int, list]:
     return dict(zip(pivot_cols, rows))
 
 
+_P = (1 << 61) - 1  # a Mersenne prime
+
+
+def _rank_mod_p(rows: list[list], ncols: int) -> int | None:
+    """Rank mod _P of the matrix ``rows`` with ``ncols`` columns, or None when
+    some Fraction entry has a denominator divisible by _P.
+
+    Rows are inserted one at a time into an echelon basis {pivot column: row
+    with pivot entry 1}, stopping once it holds ``ncols`` rows; ``rows`` is
+    left as it is.
+    """
+    basis = {}
+    for row in rows:
+        v = []
+        for x in row[:ncols]:
+            if type(x) is not int:
+                den = x.denominator % _P
+                if not den:
+                    return None
+                x = x.numerator * pow(den, -1, _P)
+            v.append(x % _P)
+        for col in range(ncols):
+            c = v[col]
+            if not c:
+                continue
+            pivot = basis.get(col)
+            if pivot is None:
+                inv = pow(c, -1, _P)
+                basis[col] = [w * inv % _P for w in v]
+                break
+            v = [(w - c * u) % _P for w, u in zip(v, pivot)]
+        if len(basis) == ncols:
+            break
+    return len(basis)
+
+
 def rank(rows: list[list], ncols: int) -> int:
     """Rank over Q of the matrix ``rows`` with ``ncols`` columns."""
     return len(rref(rows, ncols))
@@ -65,6 +106,8 @@ def solve(rows: list[list], rhs: list, ncols: int) -> list | None:
 def first_null_vector(rows: list[list], ncols: int) -> list[int] | None:
     """Primitive integer kernel vector for the first free column, or None when
     the kernel is trivial."""
+    if _rank_mod_p(rows, ncols) == ncols:
+        return None
     pivots = rref(rows, ncols)
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:

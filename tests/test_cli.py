@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from mahlerfold.cli import main
+from mahlerfold.fiblucas import run_identity
 
 
 def run(capsys, *argv):
@@ -223,6 +225,49 @@ def test_bad_input_exits_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("mahlerfold: error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cf", "euclid", "--num", "x^", "--den", "1"],
+        ["fold", "cohn", "--poly", "x^9+1", "--nmax", "6"],
+    ],
+)
+def test_bad_input_json_error_object(capsys, argv):
+    code = main(["--json", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    message = captured.err.removeprefix("mahlerfold: error: ").rstrip("\n")
+    assert json.loads(captured.out) == {"error": message, "schema": 1}
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+def test_fib_identity_prints_past_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "--json", "fib", "identity", "--id", "table-1", "--terms", "14")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    computed = json.loads(out)["computed"]
+    assert len(computed) > 4300  # Python's default int-to-str digit limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert computed == str(run_identity("table-1", 14).computed)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_fib_identity_cost_guard(capsys):
+    t0 = time.monotonic()
+    code = main(["fib", "identity", "--id", "table-1", "--terms", "25"])
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("mahlerfold: error: 25 terms give exact values of up to 2^27 bits")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert main(["fib", "identity", "--id", "table-1", "--terms", "18"]) == 0
 
 
 @pytest.mark.parametrize("terms", ["0", "-1"])

@@ -1,4 +1,5 @@
-"""Differential tests of the exact linear algebra against sympy."""
+"""Differential tests of the exact linear algebra against sympy, and tests of
+its modular front end."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,9 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerfold import linalg
+from mahlerfold.hadamard import hadamard_mahler_probe
 from mahlerfold.linalg import first_null_vector, rank, solve
+from mahlerfold.poly import parse_rational
+from mahlerfold.series import TruncatedSeries
 
-sympy = pytest.importorskip("sympy")
+P = (1 << 61) - 1  # the front end's prime
 
 scalars = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
 
@@ -26,6 +31,7 @@ def matrices(draw):
 
 
 def _sym(a):
+    sympy = pytest.importorskip("sympy")
     return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in a])
 
 
@@ -93,3 +99,46 @@ def test_empty_and_zero_systems():
     assert first_null_vector([[0, 0]], 2) == [1, 0]
     assert solve([[0, 0]], [0], 2) == [0, 0]
     assert solve([[0, 0]], [Fraction(1, 2)], 2) is None
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1, 0], [0, P]],
+        [[1, 0], [0, P], [P, 2 * P]],
+        [[1, 2], [-1, P - 2]],  # determinant P
+        [[Fraction(1, 3), 1], [2, 6 + P], [0, 0]],  # row 2 is 6 * row 1 mod P
+    ],
+)
+def test_singular_mod_p_falls_back(a):
+    # full rank over Q but singular mod P: the exact path must still answer
+    assert linalg._rank_mod_p(_copy(a), 2) == 1
+    assert rank(_copy(a), 2) == 2
+    assert first_null_vector(_copy(a), 2) is None
+
+
+def test_denominator_divisible_by_p_falls_back():
+    a = [[Fraction(1, P), 1], [1, 1]]  # determinant 1/P - 1
+    assert linalg._rank_mod_p(_copy(a), 2) is None
+    assert rank(_copy(a), 2) == 2
+    assert first_null_vector(_copy(a), 2) is None
+    b = [[Fraction(1, P), 1], [1, P]]  # rank 1
+    assert rank(_copy(b), 2) == 1
+    assert first_null_vector(_copy(b), 2) == [-P, 1]
+
+
+def test_full_rank_mod_p_skips_exact_elimination(monkeypatch):
+    def no_rref(rows, ncols):
+        raise AssertionError("exact elimination ran on a full-rank system")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    order = 1024
+    pow2 = [0] * (order + 1)
+    j = 1
+    while j <= order:
+        pow2[j] = 1
+        j <<= 1
+    probe = hadamard_mahler_probe(
+        TruncatedSeries(pow2, order), parse_rational("1/(1-2*q)"), 2, 512, 4, 8
+    )
+    assert probe.is_none_up_to
