@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error: argparse's
-rejections (its usage message only, also under ``--json``) and any domain
-error raised by bad input after parsing, which ``main`` reports as one
+rejections (its usage message only, also under ``--json``; conflicting flags
+are among them) and any domain error raised by bad input after parsing,
+including an output file that cannot be written, which ``main`` reports as one
 ``mahlerfold: error: ...`` line on stderr (under ``--json`` also as
 {"error": ..., "schema": 1} on stdout).  All outputs are deterministic for
 fixed arguments; JSON payloads carry a top-level "schema": 1 field.
@@ -115,7 +116,7 @@ def cmd_verify(args) -> int:
     max_level = args.max_level
     entries = []
     failures = []
-    if args.id and not args.all:
+    if args.id:
         ids = [args.id]
     else:
         ids = list(REGISTRY) + list(FOLD_CHECKS)
@@ -445,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = add_parser("verify", help="run identity checks")
-    p.add_argument("--id", help="one identity id")
-    p.add_argument("--all", action="store_true", help="run the whole catalogue")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--id", help="one identity id")
+    which.add_argument("--all", action="store_true", help="run the whole catalogue")
     p.add_argument("--order", type=int, default=256)
     p.add_argument("--max-level", type=int, default=10)
     p.set_defaults(func=cmd_verify)
@@ -472,9 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = fold_sub.add_parser("iterate", parents=[common])
     q.add_argument("--spec", required=True, help="named spec or DSL text")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--signs", action="store_true")
-    q.add_argument("--continuants", action="store_true")
-    q.add_argument("--specialize", action="store_true")
+    output = q.add_mutually_exclusive_group()
+    output.add_argument("--signs", action="store_true")
+    output.add_argument("--continuants", action="store_true")
+    output.add_argument("--specialize", action="store_true")
     q.set_defaults(func=cmd_fold)
     q = fold_sub.add_parser("check", parents=[common])
     q.add_argument("--id", required=True, choices=list(FOLD_CHECKS))
@@ -541,7 +544,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, folding.DegreeCapExceeded) as exc:
+    except (ValueError, ArithmeticError, OSError, folding.DegreeCapExceeded) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         if args.json:
             _emit({"error": str(exc)}, True)

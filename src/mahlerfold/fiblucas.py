@@ -152,9 +152,6 @@ class IdentityResult:
         with mp.workprec(precision):
             return abs((self.expected - self.computed).to_mp())
 
-    def expected_str(self) -> str:
-        return str(self.expected)
-
 
 @dataclass(frozen=True)
 class CFRow:

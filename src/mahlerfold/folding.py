@@ -476,16 +476,6 @@ def sign_generating_functions(spec, order: int, max_iter: int = 64):
     )
 
 
-def _geom(k: int, order: int) -> TruncatedSeries:
-    """1/(1+x^k) as a truncated series."""
-    coeffs = [0] * (order + 1)
-    s = 1
-    for i in range(0, order + 1, k):
-        coeffs[i] = s
-        s = -s
-    return TruncatedSeries(coeffs, order)
-
-
 def rho_word_equations(order: int):
     """Residuals of both Mahler equations for rho's word GFs, denominators
     cleared to polynomials: returns (residual_F, residual_G) TruncatedSeries.
@@ -498,33 +488,20 @@ def rho_word_equations(order: int):
     m4 = m.substitute_power(2)  # 1+x^4
     m8 = m.substitute_power(4)  # 1+x^8
     clear = m * m4 * m8
-    c = TruncatedSeries.from_poly(clear, order)
     x = Polynomial.x()
-
-    lhs_f = c * f
-    rhs_f = (
-        c * f.substitute_power(4).shift(2)
-        - TruncatedSeries.from_poly(2 * (x**6) * m * m4, order)
-        + TruncatedSeries.from_poly(m * m8, order)
-        + TruncatedSeries.from_poly(x * m4 * m8, order)
+    res_f = (f - f.substitute_power(4).shift(2)) * clear - (
+        -2 * (x**6) * m * m4 + m * m8 + x * m4 * m8
     )
-    res_f = lhs_f - rhs_f
-
-    lhs_g = c * g
-    rhs_g = (
-        c * g.substitute_power(4).shift(4)
-        - TruncatedSeries.from_poly((Polynomial.one() - x**8) * m * m4, order)
-        + TruncatedSeries.from_poly((x**2) * m * m8, order)
-        - TruncatedSeries.from_poly(x * m4 * m8, order)
+    res_g = (g - g.substitute_power(4).shift(4)) * clear - (
+        -(1 - x**8) * m * m4 + (x**2) * m * m8 - x * m4 * m8
     )
-    res_g = lhs_g - rhs_g
     return res_f, res_g
 
 
 def tilde_transforms(order: int):
     """(F~, G~): F~ = F - x/(1+x^2), G~ = -G - x/(1+x^2); both are even."""
     f, g = sign_generating_functions("rho", order)
-    odd = TruncatedSeries.x(order) * _geom(2, order)
+    odd = TruncatedSeries.x(order) / Polynomial([1, 0, 1])
     return f - odd, -g - odd
 
 
@@ -572,8 +549,8 @@ def ij_system_check(order: int) -> IJReport:
     if order < 8:
         raise ValueError("order must be >= 8")
     i_s, j_s = ij_series(order)
-    g6 = _geom(6, order)
-    g12 = _geom(12, order)
+    g6 = TruncatedSeries.one(order) / (1 + Polynomial.monomial(6))
+    g12 = TruncatedSeries.one(order) / (1 + Polynomial.monomial(12))
     eq1 = i_s - (j_s.substitute_power(2) + g6.shift(1))
     eq2 = j_s - (i_s.substitute_power(2) - g6.shift(5))
     it1 = i_s - (i_s.substitute_power(4) + g6.shift(1) - g12.shift(10))

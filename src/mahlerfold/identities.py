@@ -36,51 +36,44 @@ def _series_report(ident: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> Id
     return IdentityReport(ident, bad is None, bad, n)
 
 
-def _sub(s: TruncatedSeries, k: int) -> TruncatedSeries:
-    return s.substitute_power(k)
-
-
-def _poly(coeffs) -> Polynomial:
-    return Polynomial(coeffs)
-
-
 def _check_prop_fgh(order: int) -> IdentityReport:
     f = expand_named("F", order)
     g = expand_named("G", order)
     i = expand_named("I", order)
-    rhs = _sub(f, 3).shift(1) + _sub(g, 3)
+    rhs = f.substitute_power(3).shift(1) + g.substitute_power(3)
     return _series_report("propFGH", i, rhs)
 
 
 def _check_cross_gg(order: int) -> IdentityReport:
     f = expand_named("F", order)
     g = expand_named("G", order)
-    lhs = g * _sub(g, 2) - (f * _sub(f, 2)).shift(1)
+    lhs = g * g.substitute_power(2) - (f * f.substitute_power(2)).shift(1)
     return _series_report("cross-GG-qFF", lhs, TruncatedSeries.one(order))
 
 
 def _check_cross_fg(order: int) -> IdentityReport:
     f = expand_named("F", order)
     g = expand_named("G", order)
-    lhs = f * _sub(g, 4) - (g * _sub(f, 4)).shift(1)
+    lhs = f * g.substitute_power(4) - (g * f.substitute_power(4)).shift(1)
     return _series_report("cross-FG4-qGF4", lhs, TruncatedSeries.one(order))
 
 
 def _check_mahler4(name: str, order: int) -> IdentityReport:
     s = expand_named(name, order)
-    one_q_q2 = _poly([1, 1, 1])
+    s4, s16 = s.substitute_power(4), s.substitute_power(16)
+    one_q_q2 = Polynomial([1, 1, 1])
     if name == "F":
         lhs = s
-        rhs = one_q_q2 * _sub(s, 4) - _sub(s, 16).shift(4)
+        rhs = one_q_q2 * s4 - s16.shift(4)
     elif name == "G":
         lhs = s.shift(1)
-        rhs = one_q_q2 * _sub(s, 4) - _sub(s, 16)
+        rhs = one_q_q2 * s4 - s16
     elif name == "H":
         lhs = s
-        rhs = one_q_q2 * _sub(s, 4) - _sub(s, 16).shift(6)
+        rhs = one_q_q2 * s4 - s16.shift(6)
     elif name == "I":
         lhs = s.shift(3)
-        rhs = _poly([1, 0, 0, 1, 0, 0, 1]) * _sub(s, 4) - _sub(s, 16)
+        rhs = Polynomial([1, 0, 0, 1, 0, 0, 1]) * s4 - s16
     else:
         raise ValueError(name)
     return _series_report(f"mahler4-{name}", lhs, rhs)

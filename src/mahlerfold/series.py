@@ -3,6 +3,13 @@
 A ``TruncatedSeries`` is a coefficient prefix c_0..c_N together with its
 truncation order N.  Arithmetic never reads past the order and records the
 minimum of the operand orders, so a result is exact as far as it goes.
+
+The series layer only truncates; polynomial products go through the one
+multiplication seam ``poly._list_mul``.  A product strips the zero tails of
+its order-clipped operands first, so a zero tail costs no multiplication
+work: a series times a polynomial of d+1 terms is O(N*d), whether the
+polynomial comes as a ``Polynomial`` or as a padded series.  Division walks
+only the divisor's nonzero terms, O(N * nnz).
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, RationalFunction, _exact_div, _list_mul
+from .poly import Polynomial, RationalFunction, _exact_div, _list_mul, _strip
 
 
 class TruncatedSeries:
@@ -50,10 +57,9 @@ class TruncatedSeries:
     @classmethod
     def from_rational(cls, rf: RationalFunction, order: int) -> TruncatedSeries:
         """Expand num/den to the given order; den(0) must be nonzero."""
-        den = rf.den.coeffs
-        if not den or not den[0]:
+        if not rf.den.coeffs[0]:
             raise ZeroDivisionError("denominator vanishes at 0")
-        return cls.from_poly(rf.num, order) / cls.from_poly(rf.den, order)
+        return cls.from_poly(rf.num, order) / rf.den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -64,14 +70,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash((self.order, tuple(self.coeffs)))
-
-    def agrees_with(self, other: TruncatedSeries, upto: int | None = None) -> bool:
-        n = min(self.order, other.order)
-        if upto is not None:
-            if upto > n:
-                raise ValueError("comparison order exceeds truncation order")
-            n = upto
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
 
     def first_difference(self, other: TruncatedSeries) -> int | None:
         n = min(self.order, other.order)
@@ -113,7 +111,7 @@ class TruncatedSeries:
         if other is NotImplemented:
             return NotImplemented
         n = min(self.order, other.order)
-        prod = _list_mul(self.coeffs[: n + 1], other.coeffs[: n + 1])
+        prod = _list_mul(_strip(self.coeffs[: n + 1]), _strip(other.coeffs[: n + 1]))
         return TruncatedSeries(prod[: n + 1], n)
 
     __rmul__ = __mul__
@@ -127,16 +125,16 @@ class TruncatedSeries:
         d0 = other.coeffs[0]
         if not d0:
             raise ZeroDivisionError("series division by a non-unit")
-        out = [0] * (n + 1)
-        rem = list(self.coeffs[: n + 1])
+        terms = [(j, d) for j, d in enumerate(other.coeffs[1 : n + 1], 1) if d]
+        out = list(self.coeffs[: n + 1])
         for i in range(n + 1):
-            c = rem[i] if d0 == 1 else _exact_div(rem[i], d0)
-            out[i] = c
-            if c:
-                for j in range(1, n + 1 - i):
-                    dj = other.coeffs[j]
-                    if dj:
-                        rem[i + j] = rem[i + j] - c * dj
+            c = out[i]
+            for j, d in terms:
+                if j > i:
+                    break
+                if out[i - j]:
+                    c = c - d * out[i - j]
+            out[i] = c if d0 == 1 else _exact_div(c, d0)
         return TruncatedSeries(out, n)
 
     def _coerce(self, other):
@@ -153,10 +151,7 @@ class TruncatedSeries:
         if k < 1:
             raise ValueError("k must be >= 1")
         out = [0] * (self.order + 1)
-        for i, c in enumerate(self.coeffs):
-            if i * k > self.order:
-                break
-            out[i * k] = c
+        out[::k] = self.coeffs[: self.order // k + 1]
         return TruncatedSeries(out, self.order)
 
     def truncate(self, order: int) -> TruncatedSeries:
@@ -168,20 +163,12 @@ class TruncatedSeries:
         """Multiply by q^k, capped at the order."""
         return TruncatedSeries([0] * k + list(self.coeffs), self.order)
 
-    def to_polynomial(self) -> Polynomial:
-        return Polynomial(self.coeffs)
-
     def coeff(self, i: int):
         if i > self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
         return self.coeffs[i]
 
-    def __call__(self, point):
-        """Evaluate the truncation at a point (Horner)."""
-        result = point * 0
-        for c in reversed(self.coeffs):
-            result = result * point + c
-        return result
+    __call__ = Polynomial.__call__  # the truncation's value at a point
 
     def __repr__(self):
         head = list(self.coeffs[: min(8, self.order + 1)])
@@ -327,12 +314,8 @@ class MahlerEquation:
         total = TruncatedSeries.from_poly(self.inhomogeneous, f.order)
         for i, ai in enumerate(self.coeffs):
             if ai:
-                term = f.substitute_power(self.k**i)
-                total = total + TruncatedSeries.from_poly(ai, f.order) * term
+                total = total + f.substitute_power(self.k**i) * ai
         return total
-
-    def is_homogeneous(self) -> bool:
-        return self.inhomogeneous.is_zero()
 
 
 class MahlerSolveError(ValueError):

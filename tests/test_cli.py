@@ -270,6 +270,36 @@ def test_fib_identity_cost_guard(capsys):
     assert main(["fib", "identity", "--id", "table-1", "--terms", "18"]) == 0
 
 
+@pytest.mark.parametrize("name", ["missing-dir/x.svg", "."])
+def test_unwritable_out_file_exits_2(tmp_path, capsys, name):
+    # a missing directory raises FileNotFoundError, a directory IsADirectoryError
+    out = str(tmp_path / name)
+    code = main(["--json", "curve", "render", "--spec", "dragon", "--n", "3", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("mahlerfold: error: [Errno ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    message = captured.err.removeprefix("mahlerfold: error: ").rstrip("\n")
+    assert json.loads(captured.out) == {"error": message, "schema": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fold", "iterate", "--spec", "rho", "--n", "3", "--continuants", "--specialize"],
+        ["fold", "iterate", "--spec", "rho", "--n", "3", "--signs", "--continuants"],
+        ["verify", "--all", "--id", "propFGH"],
+    ],
+)
+def test_conflicting_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 @pytest.mark.parametrize("terms", ["0", "-1"])
 def test_fib_terms_must_be_positive(capsys, terms):
     with pytest.raises(SystemExit) as err:

@@ -193,3 +193,150 @@ def test_all_prefix_recursions_to_12():
 
     report = verify_series_identity("hn-recursions", 1 << 12)
     assert report.holds and report.checked == 12
+
+
+# -- differential tests of series arithmetic against dense references -------
+
+def _dense_mul(a, b, n):
+    """Coefficients 0..n of the product, by the literal convolution."""
+    return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(n + 1)]
+
+
+def _dense_div(a, d, n):
+    """Coefficients 0..n of a/d by the O(n^2) loop that visits every divisor
+    slot, with the library's integral-quotient rule."""
+    from mahlerfold.poly import _exact_div
+
+    out = [0] * (n + 1)
+    rem = list(a[: n + 1])
+    for i in range(n + 1):
+        c = rem[i] if d[0] == 1 else _exact_div(rem[i], d[0])
+        out[i] = c
+        if c:
+            for j in range(1, n + 1 - i):
+                if d[j]:
+                    rem[i + j] = rem[i + j] - c * d[j]
+    return out
+
+
+ints = st.integers(-4, 4)
+scalars = st.one_of(ints, st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def series(draw, coeff=ints, max_order=24):
+    """A series whose nonzero prefix may end well before its order."""
+    order = draw(st.integers(0, max_order))
+    head = draw(st.lists(coeff, max_size=order + 1))
+    return TS(head, order)
+
+
+@st.composite
+def units(draw, sparse):
+    """A divisor with nonzero constant term (often not 1), sparse or dense,
+    sometimes with an order above the dividend's."""
+    order = draw(st.integers(0, 40))
+    d0 = draw(st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]))
+    if sparse:
+        d = [0] * (order + 1)
+        for j in draw(st.lists(st.integers(1, max(order, 1)), max_size=3)):
+            if j <= order:
+                d[j] = draw(st.one_of(ints, st.just(Fraction(3, 2))))
+    else:
+        d = [0] + draw(st.lists(scalars, min_size=order, max_size=order))
+    d[0] = d0
+    return TS(d, order)
+
+
+@given(series(), series())
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_dense_convolution_on_zero_tailed_ints(a, b):
+    n = min(a.order, b.order)
+    prod = a * b
+    assert prod.order == n
+    assert list(prod.coeffs) == _dense_mul(a.coeffs, b.coeffs, n)
+    assert all(type(c) is int for c in prod.coeffs)
+
+
+@given(series(coeff=scalars), series(coeff=scalars))
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_dense_convolution_on_fractions(a, b):
+    n = min(a.order, b.order)
+    assert list((a * b).coeffs) == _dense_mul(a.coeffs, b.coeffs, n)
+
+
+@given(series(max_order=60), st.lists(scalars, max_size=15))
+@settings(max_examples=100, deadline=None)
+def test_mul_by_polynomial_plain_or_padded(s, coeffs):
+    p = P(coeffs)
+    padded = TS.from_poly(p, s.order)
+    want = _dense_mul(s.coeffs, padded.coeffs, s.order)
+    for prod in (s * p, p * s, s * padded, padded * s):
+        assert prod.order == s.order
+        assert list(prod.coeffs) == want
+
+
+@given(series(coeff=scalars, max_order=40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_div_by_sparse_unit_matches_dense_loop(a, data):
+    d = data.draw(units(sparse=True))
+    n = min(a.order, d.order)
+    quo = a / d
+    assert quo.order == n
+    assert list(quo.coeffs) == _dense_div(a.coeffs, d.coeffs, n)
+    assert (quo * d).coeffs == a.coeffs[: n + 1]
+
+
+@given(series(coeff=scalars, max_order=40), st.data())
+@settings(max_examples=100, deadline=None)
+def test_div_by_dense_unit_matches_dense_loop(a, data):
+    d = data.draw(units(sparse=False))
+    n = min(a.order, d.order)
+    assert list((a / d).coeffs) == _dense_div(a.coeffs, d.coeffs, n)
+
+
+@given(series(max_order=30), st.lists(ints, min_size=1, max_size=50), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_div_by_polynomial_longer_than_order(a, tail, d0):
+    d = P([d0] + tail)  # may be far longer than a's order; only its prefix counts
+    padded = TS.from_poly(d, a.order)
+    assert list((a / d).coeffs) == _dense_div(a.coeffs, padded.coeffs, a.order)
+
+
+def test_div_keeps_int_coefficients_when_exact():
+    quo = TS([1], 20) / P([1, -2])
+    assert quo.coeffs == tuple(2**i for i in range(21))
+    assert all(type(c) is int for c in quo.coeffs)
+    assert (TS([2, 2], 5) / P([2])).coeffs == (1, 1, 0, 0, 0, 0)
+
+
+@given(st.lists(ints, max_size=5), st.lists(ints, max_size=4), st.integers(1, 4),
+       st.integers(0, 12))
+@settings(max_examples=40, deadline=None)
+def test_from_rational_matches_sympy(num, den_tail, d0, order):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    rf = RationalFunction(P(num), P([d0] + den_tail))
+    # num * den^-1 mod q^(order+1), by sympy's extended Euclid
+    top = q ** (order + 1)
+    sym = [sympy.Poly(list(reversed(c or [0])), q, domain="QQ") for c in (num, [d0] + den_tail)]
+    taylor = sympy.rem(sym[0] * sympy.invert(sym[1], sympy.Poly(top, q, domain="QQ")), top)
+    want = [sympy.Rational(taylor.coeff_monomial(q**i)) for i in range(order + 1)]
+    got = TS.from_rational(rf, order).coeffs
+    assert [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, got)] == want
+
+
+# -- design pin: a series times a short polynomial never packs big integers --
+
+def test_short_factor_products_skip_kronecker(monkeypatch):
+    from mahlerfold import poly
+    from mahlerfold.identities import verify_series_identity
+
+    def refuse(a, b):
+        raise AssertionError(f"Kronecker product of {len(a)} x {len(b)} coefficients")
+
+    monkeypatch.setattr(poly, "_kronecker_mul", refuse)
+    # the re-substitution residual multiplies by A_i with at most 2 terms
+    eq = _eq(2, [P.one(), P([-1]), P([0, -1])], norm=1)
+    assert solve_mahler(eq, 4096).coeffs == expand_named("H", 4096).coeffs
+    assert verify_series_identity("mahler4-H", 4096).holds
