@@ -25,9 +25,6 @@ class LatticePath:
         ys = [v[1] for v in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
-    def translate(self, dx: int, dy: int) -> LatticePath:
-        return LatticePath(tuple((x + dx, y + dy) for x, y in self.vertices))
-
 
 _LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
 _RIGHT = {v: k for k, v in _LEFT.items()}
@@ -95,10 +92,11 @@ def export_svg(paths, stroke_width: int = 1, palette: str = "rainbow", scale: in
     if not paths:
         raise ValueError("nothing to render")
     color = PALETTES[palette]
-    minx = min(p.bounding_box()[0] for p in paths)
-    miny = min(p.bounding_box()[1] for p in paths)
-    maxx = max(p.bounding_box()[2] for p in paths)
-    maxy = max(p.bounding_box()[3] for p in paths)
+    boxes = [p.bounding_box() for p in paths]
+    minx = min(b[0] for b in boxes)
+    miny = min(b[1] for b in boxes)
+    maxx = max(b[2] for b in boxes)
+    maxy = max(b[3] for b in boxes)
     pad = 1
     width = (maxx - minx + 2 * pad) * scale
     height = (maxy - miny + 2 * pad) * scale

@@ -261,7 +261,7 @@ class CFRowResult:
             return abs(mp.mpf(num.numerator) / num.denominator)
 
 
-def cf_identity_table(row, terms: int, precision: int = 256) -> CFRowResult:
+def cf_identity_table(row, terms: int) -> CFRowResult:
     """Evaluate one catalogued CF row at the given depth (exact rationals)."""
     key = f"table-{row}" if isinstance(row, int) else row
     try:
@@ -346,7 +346,7 @@ IDENTITY_IDS = ("good", "fl-ratio", "hideyuki", "lucas", "table-1", "table-2",
 MAX_RESULT_BITS_LOG2 = 20
 
 
-def run_identity(identity: str, terms: int, precision: int = 256):
+def run_identity(identity: str, terms: int):
     """Dispatch an identity id to its exact evaluation; refuse a ``terms``
     whose result would exceed 2^MAX_RESULT_BITS_LOG2 bits."""
     if terms + 2 > MAX_RESULT_BITS_LOG2:
@@ -361,5 +361,5 @@ def run_identity(identity: str, terms: int, precision: int = 256):
     if identity == "hideyuki":
         return hideyuki_identity(terms)
     if identity in CF_TABLE:
-        return cf_identity_table(identity, terms, precision)
+        return cf_identity_table(identity, terms)
     raise ValueError(f"unknown identity {identity!r}; known: {IDENTITY_IDS}")

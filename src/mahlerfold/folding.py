@@ -2,17 +2,21 @@
 
 A fold spec declares base words over the alphabet {+x, -x} and a rule that
 builds word n from words n-1 .. n-D using constants (x, -x, and the
-parity-signed (-1)^n * x), references, reversals and negations.  Continuant
-matrices of the words are computed through the recursion itself, so they stay
-cheap even when the words grow exponentially; the computation is generic over
-the coefficient ring (polynomials, truncated series, exact rationals, ints,
-big floats).
+parity-signed (-1)^n * x), references, reversals and negations.  One walker,
+``_unfold``, is the only interpreter of that rule: sign words, word lengths
+and continuant matrices are its images of the words under different maps of a
+letter (a sign, a count, a Key Lemma step).  Continuant matrices are thus
+computed through the recursion itself, so they stay cheap even when the words
+grow exponentially; the computation is generic over the coefficient ring
+(polynomials, truncated series, exact rationals, ints, big floats).
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .contfrac import ContinuantMatrix, Word, _identity_like, euclid_cf, eval_irregular, IrregularCF
 from .linalg import solve
@@ -198,8 +202,49 @@ def resolve_spec(spec) -> FoldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Word iteration (signs only).
+# The fold-rule interpreter: words, lengths and continuants.
 # ---------------------------------------------------------------------------
+
+
+def _unfold(spec: FoldSpec, empty, letter, join):
+    """Yield the images of w_0, w_1, ... under a map that respects the rule.
+
+    The one interpreter of the fold rule.  ``empty()`` is a fresh image of
+    the empty word, ``letter(acc, s)`` appends the letter s*x (s = +1 or -1)
+    to an image and ``join(acc, image, ref)`` appends the image of a word
+    reversed and negated as the RuleRef ``ref`` says.  Only the images that
+    the rule can still refer to (the last ``max_depth``) are kept.
+    """
+    window: deque = deque(maxlen=max(spec.max_depth(), 1))
+    for m in count():
+        acc = empty()
+        if m < len(spec.bases):
+            for s in spec.bases[m]:
+                acc = letter(acc, s)
+        else:
+            for it in spec.rule:
+                if isinstance(it, RuleConst):
+                    acc = letter(acc, -it.sign if it.parity and m % 2 else it.sign)
+                else:
+                    acc = join(acc, window[-it.depth], it)
+        window.append(acc)
+        yield acc
+
+
+def _append_sign(word: list[int], s: int) -> list[int]:
+    word.append(s)
+    return word
+
+
+def _extend_signs(word: list[int], ref_word: list[int], ref: RuleRef) -> list[int]:
+    if ref.reverse:
+        ref_word = ref_word[::-1]
+    word.extend([-s for s in ref_word] if ref.negate else ref_word)
+    return word
+
+
+def _sign_words(spec: FoldSpec):
+    return _unfold(spec, list, _append_sign, _extend_signs)
 
 
 def iterate_fold(spec, n: int) -> list[int]:
@@ -207,105 +252,70 @@ def iterate_fold(spec, n: int) -> list[int]:
     spec = resolve_spec(spec)
     if n < 0:
         raise ValueError("n must be >= 0")
-    words = {i: list(b) for i, b in enumerate(spec.bases)}
-    if n < len(spec.bases):
-        return words[n]
-    depth = max(spec.max_depth(), 1)
-    for m in range(len(spec.bases), n + 1):
-        out: list[int] = []
-        for it in spec.rule:
-            if isinstance(it, RuleConst):
-                s = it.sign * (-1 if (it.parity and m % 2) else 1)
-                out.append(s)
-            else:
-                w = words[m - it.depth]
-                if it.reverse:
-                    w = w[::-1]
-                if it.negate:
-                    w = [-s for s in w]
-                out.extend(w)
-        words[m] = out
-        for stale in [key for key in words if key <= m - depth]:
-            del words[stale]
-    return words[n]
+    return next(islice(_sign_words(spec), n, None))
 
 
 def word_lengths(spec, n: int) -> list[int]:
     """Lengths of w_0..w_n, from the recursion (no words materialized)."""
     spec = resolve_spec(spec)
-    lens = [len(b) for b in spec.bases]
-    for m in range(len(spec.bases), n + 1):
-        total = 0
-        for it in spec.rule:
-            total += 1 if isinstance(it, RuleConst) else lens[m - it.depth]
-        lens.append(total)
-    return lens[: n + 1]
+    lengths = _unfold(spec, int, lambda k, s: k + 1, lambda k, ref_k, ref: k + ref_k)
+    return list(islice(lengths, max(n + 1, 0)))
 
 
-# ---------------------------------------------------------------------------
-# Continuant matrices through the recursion, generic over the ring.
-# ---------------------------------------------------------------------------
+def _continuant_images(spec: FoldSpec, x):
+    """(continuant matrix, length) of w_0, w_1, ... with x the ring image of
+    the letter x.  Negated references use N(-w) = (-1)^len(w) D N(w) D with
+    D = diag(1, -1), which is exact for Key Lemma products; reversal is the
+    transpose."""
+    minus_x = -x
+
+    def letter(acc, s):
+        mat, length = acc
+        return mat.push(x if s > 0 else minus_x), length + 1
+
+    def join(acc, image, ref):
+        (mat, length), (ref_mat, ref_len) = acc, image
+        if ref.reverse:
+            ref_mat = ref_mat.transpose()
+        if ref.negate:
+            ref_mat = ref_mat.conjugate_sign()
+            if ref_len % 2:
+                ref_mat = ref_mat.scale(-1)
+        return mat.mul(ref_mat), length + ref_len
+
+    return _unfold(spec, lambda: (_identity_like(x), 0), letter, join)
 
 
 class FoldEngine:
     """Computes continuants of w_n for a fold spec over an arbitrary ring.
 
-    ``x`` is the ring image of the letter x. Negated references use
-    N(-w) = (-1)^len(w) * D N(w) D with D = diag(1, -1), which is exact for
-    Key Lemma matrix products; reversal is the transpose.
+    ``x`` is the ring image of the letter x.  Levels are pulled from the
+    fold-rule interpreter on demand and cached.
     """
 
     def __init__(self, spec, x):
         self.spec = resolve_spec(spec)
         self.x = x
-        self._cache = {}
-        for i, b in enumerate(self.spec.bases):
-            mat = _identity_like(x)
-            for s in b:
-                mat = mat.push(x if s > 0 else -x)
-            self._cache[i] = (mat, len(b))
-        self._top = len(self.spec.bases) - 1
+        self._images = _continuant_images(self.spec, x)
+        self._cache: list = []
 
     def matrix(self, n: int) -> ContinuantMatrix:
         """Continuant matrix of the headless word w_n (Key Lemma product)."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        for m in range(self._top + 1, n + 1):
-            mat = _identity_like(self.x)
-            length = 0
-            for it in self.spec.rule:
-                if isinstance(it, RuleConst):
-                    s = it.sign * (-1 if (it.parity and m % 2) else 1)
-                    mat = mat.push(self.x if s > 0 else -self.x)
-                    length += 1
-                else:
-                    ref, ref_len = self._cache[m - it.depth]
-                    if it.reverse:
-                        ref = ref.transpose()
-                    if it.negate:
-                        ref = ref.conjugate_sign()
-                        if ref_len % 2:
-                            ref = ref.scale(-1)
-                    mat = mat.mul(ref)
-                    length += ref_len
-            self._cache[m] = (mat, length)
-            self._top = m
+        while len(self._cache) <= n:
+            self._cache.append(next(self._images))
         return self._cache[n][0]
 
     def with_head(self, n: int, head) -> ContinuantMatrix:
-        """Continuant matrix of [head; w_n]."""
-        return _identity_like(head).push(head).mul(self.matrix(n))
+        """Continuant matrix of [head; w_n]: the Key Lemma factor of the head
+        pushed on the left, as a right push on the transpose."""
+        return self.matrix(n).transpose().push(head).transpose()
 
 
 def fold_continuants(spec, n: int, head: Polynomial | None = None) -> ContinuantMatrix:
     """Continuants of [head; w_n] over Q[x] (head defaults to rho's s_n)."""
-    spec = resolve_spec(spec)
-    engine = FoldEngine(spec, Polynomial.x())
-    if head is None:
-        head = rho_head(n)
-    elif not isinstance(head, Polynomial):
-        head = Polynomial.constant(head)
-    return engine.with_head(n, head)
+    return FoldEngine(spec, Polynomial.x()).with_head(n, rho_head(n) if head is None else head)
 
 
 def rho_head(n: int) -> Polynomial:
@@ -315,15 +325,8 @@ def rho_head(n: int) -> Polynomial:
 
 def fold_continuants_series(spec, n: int, order: int, head=None) -> ContinuantMatrix:
     """Continuants computed in the truncated-series ring (prefix-exact)."""
-    spec = resolve_spec(spec)
     engine = FoldEngine(spec, TruncatedSeries.x(order))
-    if head is None:
-        return engine.matrix(n)
-    if isinstance(head, Polynomial):
-        head = TruncatedSeries.from_poly(head, order)
-    elif not isinstance(head, TruncatedSeries):
-        head = TruncatedSeries([head], order)
-    return engine.with_head(n, head)
+    return engine.matrix(n) if head is None else engine.with_head(n, head)
 
 
 def fold_value(spec, n: int, x, head=None):
@@ -368,58 +371,6 @@ def specialize(head: Polynomial, word: list[int]) -> Word:
     return Word(tuple(out[1:]), out[0])
 
 
-def specialize_by_slicing(head: Polynomial, word: list[int]) -> Word:
-    """Reference ripple implementation with literal tail negation (O(L^2));
-    kept as an independent cross-check of :func:`specialize`."""
-    if not isinstance(head, Polynomial):
-        head = Polynomial.constant(head)
-    seq: list[Polynomial] = [head] + [_X if s > 0 else -_X for s in word]
-    i = 1
-    while i < len(seq):
-        if _is_negative_lead(seq[i]):
-            y = -seq[i]
-            seq[i - 1] = seq[i - 1] - _ONE
-            tail = [-z for z in seq[i + 1 :]]
-            seq = seq[:i] + [_ONE, y - _ONE] + tail
-            i += 2  # inserted entries are positive; the negated tail may not be
-        else:
-            i += 1
-    return Word(tuple(seq[1:]), seq[0])
-
-
-def _is_negative_lead(p: Polynomial) -> bool:
-    return bool(p.coeffs) and p.coeffs[-1] < 0
-
-
-def specialize_three_step(head: Polynomial, word: list[int]) -> Word:
-    """The insert-1 / drop-signs / subtract-neighbours shortcut.
-
-    Only defined for words whose first letter is +x; used as an independent
-    cross-check of :func:`specialize`.
-    """
-    if not isinstance(head, Polynomial):
-        head = Polynomial.constant(head)
-    if not word:
-        return Word((), head)
-    if word[0] < 0:
-        raise ValueError("three-step shortcut requires a leading +x")
-    marked: list[int | None] = []  # None marks an inserted 1
-    for i, s in enumerate(word):
-        marked.append(s)
-        if i + 1 < len(word) and word[i + 1] != s:
-            marked.append(None)
-    entries = []
-    for i, v in enumerate(marked):
-        if v is None:
-            entries.append(_ONE)
-        else:
-            drop = (i > 0 and marked[i - 1] is None) + (
-                i + 1 < len(marked) and marked[i + 1] is None
-            )
-            entries.append(_X - drop)
-    return Word(tuple(entries), head)
-
-
 def word_to_cf(head: Polynomial, word: list[int]) -> Word:
     """[head; signs * x] as a Word over Q[x]."""
     if not isinstance(head, Polynomial):
@@ -452,15 +403,15 @@ class StabilizationError(RuntimeError):
 def sign_generating_functions(spec, order: int, max_iter: int = 64):
     """(even-limit, odd-limit) coefficient prefixes of the word sequence.
 
-    Iterates until two successive words of each parity agree on the first
-    order+1 letters and are long enough; raises StabilizationError otherwise.
+    Walks the levels until two successive words of each parity agree on the
+    first order+1 letters and are long enough; raises StabilizationError
+    otherwise.
     """
     spec = resolve_spec(spec)
     need = order + 1
     prev: dict[int, list[int]] = {}
     stable: dict[int, list[int]] = {}
-    for n in range(max_iter):
-        w = iterate_fold(spec, n)
+    for n, w in enumerate(islice(_sign_words(spec), max_iter)):
         par = n % 2
         if par in prev and len(prev[par]) >= need and len(w) >= len(prev[par]):
             if w[:need] == prev[par][:need] and par not in stable:
@@ -581,128 +532,73 @@ class NotSpecialError(ValueError):
 
 
 def _is_special(spec: FoldSpec) -> bool:
-    refs = [it for it in spec.rule if isinstance(it, RuleRef)]
-    consts = [it for it in spec.rule if isinstance(it, RuleConst)]
-    if len(spec.bases) != 1 or spec.bases[0]:
+    """One empty base and the rule w1, c, -~w1, c, w1, ... with at least two
+    references and constants c in {x, -x}."""
+    rule = spec.rule
+    if spec.bases != ((),) or len(rule) < 3 or len(rule) % 2 == 0:
         return False
-    if any(it.parity for it in consts):
-        return False
-    # items must alternate ref, const, ref, const, ..., ref
-    expect_ref = True
-    flip = False
-    for it in spec.rule:
-        if expect_ref:
-            if not isinstance(it, RuleRef) or it.depth != 1:
-                return False
-            if (it.reverse, it.negate) != ((True, True) if flip else (False, False)):
-                return False
-            flip = not flip
-        else:
-            if not isinstance(it, RuleConst):
-                return False
-        expect_ref = not expect_ref
-    return expect_ref is False and len(refs) >= 2
+    refs_ok = all(
+        ref == RuleRef(1, reverse=bool(i % 2), negate=bool(i % 2)) for i, ref in enumerate(rule[::2])
+    )
+    return refs_ok and all(isinstance(c, RuleConst) and not c.parity for c in rule[1::2])
 
 
-def special_recursion_polys(spec, degree_budget: int = 4096) -> tuple[Polynomial, Polynomial]:
+# Levels up to this many letters are checked over Q[x]; past it continuant
+# coefficients grow doubly fast, so longer levels get the light checks.
+SPECIAL_FULL_LETTERS = 4096
+
+
+def special_recursion_polys(spec) -> tuple[Polynomial, Polynomial]:
     """P, Q in Z[y] with p_n = p~ P(x p~) and q_n = q~ P(x p~) + Q(x p~).
 
     p~, q~ are the previous level's continuants.  The continuant sequence is
     sign-normalized (a global sign per level) so that P's leading coefficient
-    is positive.  The relations are verified exactly at levels 2..4; a level
-    whose word length exceeds ``degree_budget`` (continuant coefficients grow
-    doubly fast there) is instead checked as a series prefix to order 256 and
-    at the integer points x = 2 and x = 3.
+    is positive.  The relations are verified exactly over Q[x] at levels 2..4;
+    a level longer than SPECIAL_FULL_LETTERS (4096) letters is instead
+    checked at the integer points x = 2 and x = 3 and as a series prefix to
+    order 64.
     """
     spec = resolve_spec(spec)
     if not _is_special(spec):
         raise NotSpecialError(f"spec is not special: {spec.pretty()}")
     r = sum(1 for it in spec.rule if isinstance(it, RuleRef))
     lengths = word_lengths(spec, 4)
-    full_levels = [n for n in (2, 3, 4) if lengths[n] <= degree_budget]
-    light_levels = [n for n in (2, 3, 4) if lengths[n] > degree_budget]
     engine = FoldEngine(spec, Polynomial.x())
-    mats = {n: engine.matrix(n) for n in range(0, max(full_levels) + 1)}
+    light = [FoldEngine(spec, 2), FoldEngine(spec, 3), FoldEngine(spec, TruncatedSeries.x(64))]
+    checks = [
+        (e, n)
+        for n in (2, 3, 4)
+        for e in ([engine] if lengths[n] <= SPECIAL_FULL_LETTERS else light)
+    ]
+    mat, prev = engine.matrix(2), engine.matrix(1)
     for sigma in (1, -1):
-        try:
-            P = _solve_poly_in(mats[2].p, mats[1].p, sigma, r - 1)
-            Q = _solve_q(mats[2].q, mats[1].q, mats[1].p, P, sigma, r - 2)
-        except _NoSolution:
+        base = prev.p * sigma
+        arg = Polynomial.x() * base
+        P = _solve_in_powers(mat.p * sigma, base, arg, r - 1)
+        if P is None or (P.coeffs and P.coeffs[-1] < 0):
             continue
-        if P.coeffs and P.coeffs[-1] < 0:
-            continue
-        if not all(
-            _check_special_level(mats[n], mats[n - 1], P, Q, sigma) for n in full_levels
-        ):
-            continue
-        if light_levels and not _check_special_light(spec, light_levels, P, Q, sigma):
-            continue
-        return P, Q
+        Q = _solve_in_powers(mat.q - prev.q * P(arg), Polynomial.one(), arg, r - 2)
+        if Q is not None and all(_special_holds(e, n, P, Q, sigma) for e, n in checks):
+            return P, Q
     raise NotSpecialError("could not solve for P, Q with a consistent sign")
 
 
-def _check_special_light(spec, levels, P, Q, sigma) -> bool:
-    """Prefix + point checks of the special relations for oversized levels."""
-    for x_val in (2, 3):
-        int_engine = FoldEngine(spec, x_val)
-        for n in levels:
-            mat = int_engine.matrix(n)
-            prev = int_engine.matrix(n - 1)
-            arg = x_val * prev.p * sigma
-            if mat.p * sigma != prev.p * sigma * P(arg):
-                return False
-            if mat.q != prev.q * P(arg) + Q(arg):
-                return False
-    order = 64
-    series_engine = FoldEngine(spec, TruncatedSeries.x(order))
-    for n in levels:
-        mat = series_engine.matrix(n)
-        prev = series_engine.matrix(n - 1)
-        arg = TruncatedSeries.x(order) * (prev.p * sigma)
-        p_rhs = (prev.p * sigma) * P(arg)
-        q_rhs = prev.q * P(arg) + Q(arg)
-        if mat.p * sigma != p_rhs or mat.q != q_rhs:
-            return False
-    return True
+def _special_holds(engine: FoldEngine, n: int, P: Polynomial, Q: Polynomial, sigma: int) -> bool:
+    """The special relations between levels n-1 and n in the engine's ring."""
+    mat, prev = engine.matrix(n), engine.matrix(n - 1)
+    base = prev.p * sigma
+    arg = engine.x * base
+    at = P(arg)
+    return mat.p * sigma == base * at and mat.q == prev.q * at + Q(arg)
 
 
-class _NoSolution(Exception):
-    pass
-
-
-def _solve_poly_in(target: Polynomial, base: Polynomial, sigma: int, deg: int) -> Polynomial:
-    """Solve target = (sigma*base) * P(x * sigma*base) for P of given degree."""
-    b = base * sigma
-    t = target * sigma
-    x = Polynomial.x()
-    cols = []
-    power = Polynomial.one()
-    for i in range(deg + 1):
-        cols.append(b * power)  # b * (x b)^i
-        power = power * (x * b)
-    coeffs = _linear_solve(cols, t)
-    if coeffs is None:
-        raise _NoSolution
-    return Polynomial(coeffs)
-
-
-def _solve_q(qn, qprev, pprev, P: Polynomial, sigma: int, deg: int) -> Polynomial:
-    arg = Polynomial.x() * (pprev * sigma)
-    rest = qn - qprev * P(arg)
-    cols = []
-    power = Polynomial.one()
-    for i in range(deg + 1):
-        cols.append(power)
-        power = power * arg
-    coeffs = _linear_solve(cols, rest)
-    if coeffs is None:
-        raise _NoSolution
-    return Polynomial(coeffs)
-
-
-def _check_special_level(mat, prev, P, Q, sigma) -> bool:
-    arg = Polynomial.x() * (prev.p * sigma)
-    return mat.p * sigma == (prev.p * sigma) * P(arg) and mat.q == prev.q * P(arg) + Q(arg)
+def _solve_in_powers(target: Polynomial, factor: Polynomial, arg: Polynomial, deg: int):
+    """The P of degree <= deg with target = factor * P(arg), or None."""
+    cols = [factor]
+    for _ in range(deg):
+        cols.append(cols[-1] * arg)
+    coeffs = _linear_solve(cols, target)
+    return None if coeffs is None else Polynomial(coeffs)
 
 
 def _linear_solve(cols: list[Polynomial], rhs: Polynomial):

@@ -44,6 +44,17 @@ def test_verify_all_small(capsys):
         assert ident in out
 
 
+def test_verify_bare_and_all_list_the_same_entries(capsys):
+    small = ["--order", "48", "--max-level", "6"]
+    ids = []
+    for argv in (["--json", "verify"] + small, ["--json", "verify", "--all"] + small):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        ids.append([e["id"] for e in json.loads(out)["entries"]])
+    assert ids[0] == ids[1]
+    assert "determinant-law[0]" in ids[0]
+
+
 def test_verify_exit_code_contract(capsys):
     # usage errors exit 2 via argparse
     with pytest.raises(SystemExit) as err:

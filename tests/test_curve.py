@@ -67,7 +67,7 @@ def test_cubic_curve_crosses():
 def test_crossing_invariant_under_translation():
     word = iterate_fold("cubic", 6)
     path = path_from_signs(word)
-    moved = path.translate(17, -4)
+    moved = LatticePath(tuple((x + 17, y - 4) for x, y in path.vertices))
     assert (self_crossing(path) is None) == (self_crossing(moved) is None)
 
 

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mahlerfold.contfrac import continuants, euclid_cf
+from mahlerfold.contfrac import Word, continuants, euclid_cf
 from mahlerfold.folding import (
     FoldEngine,
+    FoldSpec,
     FoldSyntaxError,
     NotSpecialError,
     RuleConst,
@@ -24,7 +27,6 @@ from mahlerfold.folding import (
     special_recursion_polys,
     specializable_iterated,
     specialize,
-    specialize_three_step,
     specialized_digits,
     word_lengths,
     word_to_cf,
@@ -33,6 +35,79 @@ from mahlerfold.poly import Polynomial, RationalFunction, parse_poly
 from mahlerfold.series import truncated_partial
 
 P = Polynomial
+
+
+# -- reference implementations ------------------------------------------------
+
+def literal_words(spec: FoldSpec, n: int) -> list[list[int]]:
+    """w_0..w_n by the literal per-level recursion over whole words."""
+    words = [list(b) for b in spec.bases]
+    for m in range(len(spec.bases), n + 1):
+        out: list[int] = []
+        for it in spec.rule:
+            if isinstance(it, RuleConst):
+                out.append(it.sign * (-1 if (it.parity and m % 2) else 1))
+            else:
+                w = words[m - it.depth]
+                if it.reverse:
+                    w = w[::-1]
+                if it.negate:
+                    w = [-s for s in w]
+                out.extend(w)
+        words.append(out)
+    return words[: n + 1]
+
+
+def specialize_by_slicing(head: Polynomial, word: list[int]) -> Word:
+    """Reference ripple implementation with literal tail negation (O(L^2));
+    kept as an independent cross-check of :func:`specialize`."""
+    if not isinstance(head, Polynomial):
+        head = Polynomial.constant(head)
+    seq: list[Polynomial] = [head] + [P.x() if s > 0 else -P.x() for s in word]
+    i = 1
+    while i < len(seq):
+        if _is_negative_lead(seq[i]):
+            y = -seq[i]
+            seq[i - 1] = seq[i - 1] - P.one()
+            tail = [-z for z in seq[i + 1 :]]
+            seq = seq[:i] + [P.one(), y - P.one()] + tail
+            i += 2  # inserted entries are positive; the negated tail may not be
+        else:
+            i += 1
+    return Word(tuple(seq[1:]), seq[0])
+
+
+def _is_negative_lead(p: Polynomial) -> bool:
+    return bool(p.coeffs) and p.coeffs[-1] < 0
+
+
+def specialize_three_step(head: Polynomial, word: list[int]) -> Word:
+    """The insert-1 / drop-signs / subtract-neighbours shortcut.
+
+    Only defined for words whose first letter is +x; used as an independent
+    cross-check of :func:`specialize`.
+    """
+    if not isinstance(head, Polynomial):
+        head = Polynomial.constant(head)
+    if not word:
+        return Word((), head)
+    if word[0] < 0:
+        raise ValueError("three-step shortcut requires a leading +x")
+    marked: list[int | None] = []  # None marks an inserted 1
+    for i, s in enumerate(word):
+        marked.append(s)
+        if i + 1 < len(word) and word[i + 1] != s:
+            marked.append(None)
+    entries = []
+    for i, v in enumerate(marked):
+        if v is None:
+            entries.append(P.one())
+        else:
+            drop = (i > 0 and marked[i - 1] is None) + (
+                i + 1 < len(marked) and marked[i + 1] is None
+            )
+            entries.append(P.x() - drop)
+    return Word(tuple(entries), head)
 
 
 # -- DSL ----------------------------------------------------------------------
@@ -193,6 +268,41 @@ def test_fold_continuants_series_prefix():
     assert pref.q.coeffs == tuple(full.q.coeff(i) for i in range(41))
 
 
+# -- the fold-rule walker against the literal recursion -----------------------
+
+_CONSTS = (RuleConst(1), RuleConst(-1), RuleConst(1, parity=True), RuleConst(-1, parity=True))
+
+
+@st.composite
+def small_specs(draw):
+    """One or two short bases; constants and depth-1/2 references with ~/-."""
+    bases = tuple(
+        tuple(draw(st.lists(st.sampled_from((1, -1)), max_size=2)))
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    refs = st.builds(
+        RuleRef, st.integers(1, len(bases)), reverse=st.booleans(), negate=st.booleans()
+    )
+    rule = draw(st.lists(st.one_of(st.sampled_from(_CONSTS), refs), min_size=1, max_size=4))
+    return FoldSpec(bases, tuple(rule))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_specs(), st.integers(0, 6))
+def test_walker_words_and_lengths_match_literal_recursion(spec, n):
+    words = literal_words(spec, n)
+    assert iterate_fold(spec, n) == words[n]
+    assert word_lengths(spec, n) == [len(w) for w in words]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_specs(), st.integers(0, 5), st.integers(-3, 3), st.integers(-3, 3))
+def test_engine_with_head_matches_literal_continuants(spec, n, t, head):
+    word = literal_words(spec, n)[n]
+    direct = continuants(Word(tuple(s * t for s in word), head))
+    assert FoldEngine(spec, t).with_head(n, head) == direct
+
+
 # -- specialization -----------------------------------------------------------
 
 def test_specialize_rho4():
@@ -218,8 +328,6 @@ def test_specialize_matches_slicing_reference():
     # the parity-flag rewrite equals the literal tail-negating ripple,
     # including words that open with -x (where the three-step is undefined)
     import random
-
-    from mahlerfold.folding import specialize_by_slicing
 
     rng = random.Random(5)
     for _ in range(30):

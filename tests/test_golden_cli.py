@@ -48,7 +48,16 @@ CASES = {
     "fold-iterate-dragon-6-continuants": ["fold", "iterate", "--spec", "dragon", "--n", "6",
                                           "--continuants"],
     "fold-cohn-x2-sum": ["fold", "cohn", "--poly", "x^2", "--mode", "sum", "--nmax", "4"],
+    # the fold-rule interpreter on every built-in rule shape; continuants only
+    # where the transcript stays small (quintic's runs to 1.4 MB)
+    "curve-check-rho-12": ["curve", "check", "--spec", "rho", "--n", "12"],
 }
+for _spec in ("cubic", "cubic-alt", "quintic", "rational-ex"):
+    CASES[f"fold-iterate-{_spec}-5-signs"] = ["fold", "iterate", "--spec", _spec, "--n", "5",
+                                               "--signs"]
+for _spec in ("cubic", "cubic-alt"):
+    CASES[f"fold-iterate-{_spec}-5-continuants"] = ["fold", "iterate", "--spec", _spec, "--n",
+                                                     "5", "--continuants"]
 for _ident in ("good", "fl-ratio", "hideyuki", "lucas", "table-1", "table-2", "table-3",
                "table-4", "table-5", "table-6"):
     CASES[f"fib-{_ident}"] = ["fib", "identity", "--id", _ident]
