@@ -424,6 +424,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mahlerfold")
     parser.add_argument("--json", action="store_true", help="emit JSON")
@@ -449,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group()
     which.add_argument("--id", help="one identity id")
     which.add_argument("--all", action="store_true", help="run the whole catalogue")
-    p.add_argument("--order", type=int, default=256)
-    p.add_argument("--max-level", type=int, default=10)
+    p.add_argument("--order", type=nonnegative_int, default=256)
+    p.add_argument("--max-level", type=nonnegative_int, default=10)
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("cf", help="continued fraction tools")
@@ -481,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_fold)
     q = fold_sub.add_parser("check", parents=[common])
     q.add_argument("--id", required=True, choices=list(FOLD_CHECKS))
-    q.add_argument("--n", type=int, default=10)
-    q.add_argument("--order", type=int, default=128)
+    q.add_argument("--n", type=nonnegative_int, default=10)
+    q.add_argument("--order", type=nonnegative_int, default=128)
     q.set_defaults(func=cmd_fold)
     q = fold_sub.add_parser("cohn", parents=[common])
     q.add_argument("--poly", required=True)
@@ -544,7 +551,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError, folding.DegreeCapExceeded) as exc:
+    except (ValueError, ArithmeticError, OSError,
+            folding.DegreeCapExceeded, folding.StabilizationError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         if args.json:
             _emit({"error": str(exc)}, True)

@@ -6,7 +6,8 @@ code only uses +, -, * (and / for evaluation).
 
 ``ContinuantMatrix.push`` is the one place the three-term recurrence
 p_n = a_n p_{n-1} + b_n p_{n-2} is applied; ``eval_irregular`` is the one
-back-to-front evaluator, and every scalar quotient goes through
+back-to-front evaluator (``eval_regular``, ``rho_value`` and ``lambda_value``
+only build partial quotients for it), and every scalar quotient goes through
 ``poly._exact_div``, so an integral value comes back as an ``int``.
 """
 
@@ -260,18 +261,19 @@ def lambda_word(n: int, plus: bool = False) -> Word:
     lambda_0^+ = 1 (so lambda_1^+ = [x+1] and lambda_n^+ tops out at
     exponent 2^(n-1)).
     """
+    return _lambda(n, Polynomial.x(), plus, Polynomial.monomial)
+
+
+def _lambda(n: int, x, plus: bool, power) -> Word:
+    """The word of ``lambda_word`` with head x and entries ``power(2^i)``."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if plus and n < 2:
+        return Word((), x + 1 if n else x * 0 + 1)
+    entries = [power(1 << i) for i in range(1, n if plus else n + 1)]
     if plus:
-        if n == 0:
-            return Word((), Polynomial.one())
-        if n == 1:
-            return Word((), Polynomial([1, 1]))
-        entries = [Polynomial.monomial(1 << i) for i in range(1, n - 1)]
-        entries.append(Polynomial.monomial(1 << (n - 1)) + Polynomial.one())
-        return Word(tuple(entries), Polynomial.x())
-    entries = tuple(Polynomial.monomial(1 << i) for i in range(1, n + 1))
-    return Word(entries, Polynomial.x())
+        entries[-1] += 1
+    return Word(tuple(entries), x)
 
 
 def rho_rational(n: int) -> RationalFunction:
@@ -291,33 +293,14 @@ def rho_value(n: int, x, zero_tol=None):
 def _unwind_rho(n: int, x, tail, zero_tol=None):
     """1 + x/(1 + x^2/(... 1 + x^(2^(n-1))/tail)): rho_n with its innermost
     1 replaced by ``tail``."""
-    acc = tail
-    for i in range(n - 1, -1, -1):
-        if _is_zero(acc, zero_tol):
-            raise DivisionByZero(i + 1)
-        acc = 1 + _divide(x ** (1 << i), acc)
-    return acc
+    partials = [1] * n + [tail]
+    pairs = tuple((x ** (1 << i), a) for i, a in enumerate(partials[1:]))
+    return eval_irregular(IrregularCF(partials[0], pairs), zero_tol=zero_tol)
 
 
 def lambda_value(n: int, x, plus: bool = False, zero_tol=None):
     """lambda_n (or lambda_n^+) at a point, back-to-front."""
-    if n == 0:
-        return x * 0 + 1 if plus else x
-    if plus:
-        if n == 1:
-            return x + 1
-        acc = x ** (1 << (n - 1)) + 1
-        top = n - 2
-    else:
-        acc = x ** (1 << n)
-        top = n - 1
-    for i in range(top, 0, -1):
-        if _is_zero(acc, zero_tol):
-            raise DivisionByZero(i + 1)
-        acc = x ** (1 << i) + _divide(1, acc)
-    if _is_zero(acc, zero_tol):
-        raise DivisionByZero(1)
-    return x + _divide(1, acc)
+    return eval_regular(_lambda(n, x, plus, lambda e: x**e), zero_tol=zero_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +363,12 @@ def rho_at_root_of_unity(n: int, a: int = 1, precision: int = 256, exact: bool =
         raise ValueError("n must be >= 0")
     if n > 0 and a % 2 == 0:
         raise ValueError("a must be odd (primitive root required)")
-    if exact:
-        if n == 0:
-            return PHI
-        if n == 1:
-            return _unwind_rho(n, QuadNum(-1, 0), PHI)
+    if exact and n <= 2:
         if n == 2:
-            i_unit = QuadNum(GaussianRational(0, 1 if a % 4 == 1 else -1), GaussianRational(0))
-            return _unwind_rho(n, i_unit, PHI)
+            zeta = QuadNum(GaussianRational(0, 1 if a % 4 == 1 else -1), GaussianRational(0))
+        else:
+            zeta = QuadNum(-1 if n else 1)
+        return _unwind_rho(n, zeta, PHI)
     with mp.workprec(precision):
         zeta = mp.e ** (2j * mp.pi * a / (1 << n))
         return _unwind_rho(n, zeta, PHI.to_mp())

@@ -1,14 +1,17 @@
 """Fibonacci/Lucas arithmetic, telescoping identities and the CF table.
 
 Everything exact: Fibonacci numbers by fast doubling, identity values in
-Q(sqrt5), continued fraction rows over plain rationals.  Numerics enter only
-when a residual is embedded at a requested precision.
+Q(sqrt5) (``quadfield.QuadNum``), continued fraction rows evaluated over plain
+rationals by ``contfrac.eval_irregular``.  Every identity, series or CF row,
+reports one ``IdentityResult``, and ``IDENTITIES`` is the one table of ids.
+Numerics enter only when a residual is embedded at a requested precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 
@@ -82,10 +85,8 @@ def telescope_sum(f: RationalFunction, k: int, x0: QuadNum, terms: int) -> Teles
     g(x) = f(x) - f(x^k); the two agree in the limit since x0^(k^n) -> 0."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    f0den = f.den(QuadNum(0, 0))
-    if not f0den:
-        raise PoleHit(-1)
-    closed = _eval_rf(f, x0, 0) - _eval_rf(f, QuadNum(0, 0), 0)
+    f0 = _eval_rf(f, QuadNum(0, 0), -1)
+    closed = _eval_rf(f, x0, 0) - f0
     partial = QuadNum(0, 0)
     point = x0
     for n in range(terms):
@@ -158,10 +159,9 @@ class CFRow:
     """Irregular CF with Binet-generated integer entries.
 
     head + num(1)/(den(1) + num(2)/(den(2) + ...)); ``value`` is the table's
-    stated limit.
+    stated limit.  Its id is its key in ``CF_TABLE``.
     """
 
-    id: str
     head: Fraction
     num: object  # n -> Fraction, n >= 1
     den: object  # n -> Fraction, n >= 1
@@ -189,7 +189,6 @@ def _l2n(n: int) -> int:
 
 CF_TABLE: dict[str, CFRow] = {
     "lucas": CFRow(
-        "lucas",
         Fraction(lucas(1)),
         lambda n: 2 * _l2n(n - 1) ** 2,
         lambda n: _l2n(n),
@@ -197,7 +196,6 @@ CF_TABLE: dict[str, CFRow] = {
         (_rf("(1+x)^2/x"), _rf("(1+x^2)/x"), _rf("2*(1+x^2)^2/x^2")),
     ),
     "table-1": CFRow(
-        "table-1",
         Fraction(lucas(1)),
         lambda n: -10 * _f2n(n - 1) ** 2,
         lambda n: _l2n(n),
@@ -205,7 +203,6 @@ CF_TABLE: dict[str, CFRow] = {
         (_rf("(1-x)^2/x"), _rf("(1+x^2)/x"), _rf("-2*(1-x^2)^2/x^2")),
     ),
     "table-2": CFRow(
-        "table-2",
         Fraction(lucas(1) ** 2),
         lambda n: -20 * _f2n(n) ** 2,
         lambda n: _l2n(n) ** 2,
@@ -213,7 +210,6 @@ CF_TABLE: dict[str, CFRow] = {
         (_rf("(1-x^2)^2/x^2"), _rf("(1+x^2)^2/x^2"), _rf("-4*(1-x^4)^2/x^4")),
     ),
     "table-3": CFRow(
-        "table-3",
         Fraction(lucas(1) ** 2),
         lambda n: -2 * _l2n(n + 1),
         lambda n: _l2n(n) ** 2,
@@ -222,7 +218,6 @@ CF_TABLE: dict[str, CFRow] = {
     ),
     # the f column solves f = g + h/f(x^2) for the stated g and h
     "table-4": CFRow(
-        "table-4",
         Fraction(lucas(1) + 1),
         lambda n: _l2n(n - 1) ** 2,
         lambda n: 1 + _l2n(n),
@@ -230,7 +225,6 @@ CF_TABLE: dict[str, CFRow] = {
         (_rf("(1+x)^2/x"), _rf("1+(1+x^2)/x"), _rf("(1+x^2)^2/x^2")),
     ),
     "table-5": CFRow(
-        "table-5",
         Fraction(5 * fib(1) ** 2),
         lambda n: 2 * _l2n(n + 1),
         lambda n: 5 * _f2n(n) ** 2,
@@ -238,7 +232,6 @@ CF_TABLE: dict[str, CFRow] = {
         (_rf("(1+x^4)/x^2"), _rf("(1-x^2)^2/x^2"), _rf("2*(1+x^8)/x^4")),
     ),
     "table-6": CFRow(
-        "table-6",
         Fraction(1 + 5 * fib(1) ** 2),
         lambda n: 3 * _l2n(n) ** 2,
         lambda n: 1 + 5 * _f2n(n) ** 2,
@@ -248,27 +241,14 @@ CF_TABLE: dict[str, CFRow] = {
 }
 
 
-@dataclass(frozen=True)
-class CFRowResult:
-    id: str
-    expected: Fraction
-    computed: Fraction
-    terms: int
-
-    def delta_mp(self, precision: int = 256):
-        with mp.workprec(precision):
-            num = self.expected - self.computed
-            return abs(mp.mpf(num.numerator) / num.denominator)
-
-
-def cf_identity_table(row, terms: int) -> CFRowResult:
+def cf_identity_table(row, terms: int) -> IdentityResult:
     """Evaluate one catalogued CF row at the given depth (exact rationals)."""
     key = f"table-{row}" if isinstance(row, int) else row
     try:
         entry = CF_TABLE[key]
     except KeyError:
         raise ValueError(f"unknown CF row {row!r}; known: {sorted(CF_TABLE)}") from None
-    return CFRowResult(entry.id, entry.value, entry.evaluate(terms), terms)
+    return IdentityResult(key, QuadNum(entry.value), QuadNum(entry.evaluate(terms)), terms)
 
 
 def cf_row_entry_check(key: str, levels: int = 6) -> bool:
@@ -293,18 +273,14 @@ def cf_row_entry_check(key: str, levels: int = 6) -> bool:
 
 def good_identity(terms: int) -> IdentityResult:
     """sum 1/F(2^n) = (7 - sqrt5)/2 (Good)."""
-    total = QuadNum(0, 0)
-    for n in range(terms):
-        total = total + QuadNum(Fraction(1, _f2n(n)), 0)
+    total = QuadNum(sum(Fraction(1, _f2n(n)) for n in range(terms)))
     expected = QuadNum(Fraction(7, 2), Fraction(-1, 2))
     return IdentityResult("good", expected, total, terms)
 
 
 def fl_ratio_identity(terms: int) -> IdentityResult:
     """sum F(2^n)/(L(2^n) L(2^(n+1))) = (3 sqrt5 + 5)/30."""
-    total = QuadNum(0, 0)
-    for n in range(terms):
-        total = total + QuadNum(Fraction(_f2n(n), _l2n(n) * _l2n(n + 1)), 0)
+    total = QuadNum(sum(Fraction(_f2n(n), _l2n(n) * _l2n(n + 1)) for n in range(terms)))
     expected = QuadNum(Fraction(1, 6), Fraction(1, 10))
     return IdentityResult("fl-ratio", expected, total, terms)
 
@@ -335,8 +311,13 @@ def good_telescope_terms(terms: int) -> list[QuadNum]:
     return out
 
 
-IDENTITY_IDS = ("good", "fl-ratio", "hideyuki", "lucas", "table-1", "table-2",
-                "table-3", "table-4", "table-5", "table-6")
+IDENTITIES = {
+    "good": good_identity,
+    "fl-ratio": fl_ratio_identity,
+    "hideyuki": hideyuki_identity,
+    **{key: partial(cf_identity_table, key) for key in CF_TABLE},
+}
+IDENTITY_IDS = tuple(IDENTITIES)
 
 
 # Term n of every identity involves F(2^n) and L(2^n), about phi^(2^n), so the
@@ -354,12 +335,6 @@ def run_identity(identity: str, terms: int):
             f"{terms} terms give exact values of up to 2^{terms + 2} bits, over the cap "
             f"of 2^{MAX_RESULT_BITS_LOG2} bits (terms <= {MAX_RESULT_BITS_LOG2 - 2})"
         )
-    if identity == "good":
-        return good_identity(terms)
-    if identity == "fl-ratio":
-        return fl_ratio_identity(terms)
-    if identity == "hideyuki":
-        return hideyuki_identity(terms)
-    if identity in CF_TABLE:
-        return cf_identity_table(identity, terms)
-    raise ValueError(f"unknown identity {identity!r}; known: {IDENTITY_IDS}")
+    if identity not in IDENTITIES:
+        raise ValueError(f"unknown identity {identity!r}; known: {IDENTITY_IDS}")
+    return IDENTITIES[identity](terms)

@@ -400,18 +400,31 @@ class StabilizationError(RuntimeError):
     pass
 
 
+# A sign word is a Python list, 8 bytes a letter; the walk gives up before it
+# would build a longer word (64 MiB) rather than exhaust memory.
+MAX_SIGN_WORD_LETTERS = 1 << 23
+
+
 def sign_generating_functions(spec, order: int, max_iter: int = 64):
     """(even-limit, odd-limit) coefficient prefixes of the word sequence.
 
     Walks the levels until two successive words of each parity agree on the
     first order+1 letters and are long enough; raises StabilizationError
-    otherwise.
+    otherwise: after ``max_iter`` levels, or before building a word of more
+    than MAX_SIGN_WORD_LETTERS letters.
     """
     spec = resolve_spec(spec)
     need = order + 1
     prev: dict[int, list[int]] = {}
     stable: dict[int, list[int]] = {}
-    for n, w in enumerate(islice(_sign_words(spec), max_iter)):
+    words = _sign_words(spec)
+    for n, length in enumerate(word_lengths(spec, max_iter - 1)):
+        if length > MAX_SIGN_WORD_LETTERS:
+            raise StabilizationError(
+                f"word prefixes did not stabilize to order {order} before word {n}, "
+                f"whose {length} letters pass the cap of {MAX_SIGN_WORD_LETTERS}"
+            )
+        w = next(words)
         par = n % 2
         if par in prev and len(prev[par]) >= need and len(w) >= len(prev[par]):
             if w[:need] == prev[par][:need] and par not in stable:

@@ -1,8 +1,10 @@
 """Exact arithmetic in Q(sqrt(5)) and Q(i).
 
-``QuadNum`` stores a + b*sqrt(5) with exact rational components; the
-components may themselves be ``GaussianRational`` values, which gives exact
-arithmetic in Q(i, sqrt(5)) for root-of-unity evaluations.
+``_Quadratic`` is the one implementation of a + b*sqrt(D) arithmetic; its
+subclasses fix D and the components.  ``GaussianRational`` is Q(i) (D = -1,
+rational components); ``QuadNum`` is Q(sqrt(5)) (D = 5), whose components may
+themselves be ``GaussianRational`` values, which gives exact arithmetic in
+Q(i, sqrt(5)) for root-of-unity evaluations.
 """
 
 from __future__ import annotations
@@ -12,84 +14,102 @@ from fractions import Fraction
 import mpmath as mp
 
 
-class GaussianRational:
-    """a + b*i with exact rational a, b."""
+def _mpf(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
 
-    __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+def _coerced(op):
+    """``op`` on ``other`` coerced into the field; NotImplemented if it does not embed."""
+
+    def method(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+
+    return method
+
+
+class _Quadratic:
+    """a + b*sqrt(D); conjugation (a, -b) is a field automorphism.
+
+    Subclasses set ``D``, ``_FIELD`` (its name in error messages),
+    ``_SCALARS`` (the types that embed as (v, 0)) and ``_component``.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        object.__setattr__(self, "a", self._component(a))
+        object.__setattr__(self, "b", self._component(b))
 
     def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def _coerce(cls, v):
+        if isinstance(v, cls):
+            return v
+        if isinstance(v, cls._SCALARS):
+            return cls(v, v * 0)
+        return NotImplemented
+
+    @_coerced
     def __eq__(self, other):
-        other = _coerce_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
+    @_coerced
     def __add__(self, other):
-        other = _coerce_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return type(self)(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return type(self)(-self.a, -self.b)
 
+    @_coerced
     def __sub__(self, other):
-        other = _coerce_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_coerced
     def __mul__(self, other):
-        other = _coerce_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        return type(self)(
+            self.a * other.a + self.D * (self.b * other.b),
+            self.a * other.b + self.b * other.a,
         )
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+    def conjugate(self):
+        return type(self)(self.a, -self.b)
 
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+    def norm(self):
+        """a^2 - D b^2; multiplicative."""
+        return self.a * self.a - self.D * (self.b * self.b)
 
-    def __truediv__(self, other):
-        other = _coerce_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.norm()
+    def inverse(self):
+        n = self.norm()
         if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        c = self * other.conjugate()
-        return GaussianRational(c.re / n, c.im / n)
+            raise ZeroDivisionError(f"division by zero in {self._FIELD}")
+        return type(self)(self.a / n, -self.b / n)
 
-    def __rtruediv__(self, other):
-        return _coerce_gauss(other) / self
+    @_coerced
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    __rtruediv__ = _coerced(lambda self, other: other / self)
 
     def __pow__(self, n: int):
         if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        out = GaussianRational(1)
+            return self.inverse() ** (-n)
+        out = type(self)(1, 0)
         base = self
         while n:
             if n & 1:
@@ -98,42 +118,40 @@ class GaussianRational:
             n >>= 1
         return out
 
+
+class GaussianRational(_Quadratic):
+    """a + b*i with exact rational a, b (also read as ``re`` and ``im``)."""
+
+    __slots__ = ()
+    D = -1
+    _FIELD = "Q(i)"
+    _SCALARS = (int, Fraction)
+    _component = staticmethod(Fraction)
+
+    re = property(lambda self: self.a)
+    im = property(lambda self: self.b)
+
     def to_mpc(self) -> mp.mpc:
-        return mp.mpc(
-            mp.mpf(self.re.numerator) / self.re.denominator,
-            mp.mpf(self.im.numerator) / self.im.denominator,
-        )
+        return mp.mpc(_mpf(self.a), _mpf(self.b))
 
     def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
+        return f"GaussianRational({self.a}, {self.b})"
 
     def __str__(self):
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+        return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}i"
 
 
-def _coerce_gauss(v):
-    if isinstance(v, GaussianRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return GaussianRational(v, 0)
-    return NotImplemented
+class QuadNum(_Quadratic):
+    """a + b*sqrt(5) with rational or Gaussian-rational components."""
 
+    __slots__ = ()
+    D = 5
+    _FIELD = "Q(sqrt5)"
+    _SCALARS = (int, Fraction, GaussianRational)
 
-class QuadNum:
-    """a + b*sqrt(5); conjugation (a, -b) is a field automorphism."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        if isinstance(a, (int, Fraction)):
-            a = Fraction(a)
-        if isinstance(b, (int, Fraction)):
-            b = Fraction(b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadNum is immutable")
+    @staticmethod
+    def _component(v):
+        return Fraction(v) if isinstance(v, (int, Fraction)) else v
 
     @classmethod
     def sqrt5(cls) -> QuadNum:
@@ -144,93 +162,12 @@ class QuadNum:
         """The golden ratio (1 + sqrt(5)) / 2."""
         return cls(Fraction(1, 2), Fraction(1, 2))
 
-    def __eq__(self, other):
-        other = _coerce_quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __add__(self, other):
-        other = _coerce_quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadNum(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadNum(-self.a, -self.b)
-
-    def __sub__(self, other):
-        other = _coerce_quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce_quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadNum(
-            self.a * other.a + 5 * (self.b * other.b),
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> QuadNum:
-        return QuadNum(self.a, -self.b)
-
-    def norm(self):
-        """a^2 - 5 b^2; multiplicative."""
-        return self.a * self.a - 5 * (self.b * self.b)
-
-    def inverse(self) -> QuadNum:
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(sqrt5)")
-        c = self.conjugate()
-        return QuadNum(c.a / n, c.b / n)
-
-    def __truediv__(self, other):
-        other = _coerce_quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce_quad(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadNum(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def to_mp(self):
         """Embed numerically at the current mpmath precision."""
         s5 = mp.sqrt(5)
         if isinstance(self.a, GaussianRational):
             return self.a.to_mpc() + self.b.to_mpc() * s5
-        return (
-            mp.mpf(self.a.numerator) / self.a.denominator
-            + (mp.mpf(self.b.numerator) / self.b.denominator) * s5
-        )
+        return _mpf(self.a) + _mpf(self.b) * s5
 
     def __repr__(self):
         return f"QuadNum({self.a!r}, {self.b!r})"
@@ -239,16 +176,6 @@ class QuadNum:
         if not self.b:
             return str(self.a)
         return f"{self.a} + ({self.b})*sqrt5"
-
-
-def _coerce_quad(v):
-    if isinstance(v, QuadNum):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return QuadNum(v, 0)
-    if isinstance(v, GaussianRational):
-        return QuadNum(v, GaussianRational(0))
-    return NotImplemented
 
 
 PHI = QuadNum.phi()

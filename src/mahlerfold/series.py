@@ -107,10 +107,12 @@ class TruncatedSeries:
     def __mul__(self, other) -> TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, Polynomial):  # clipped, never padded to the order
+            n = self.order
+        elif isinstance(other, TruncatedSeries):
+            n = min(self.order, other.order)
+        else:
             return NotImplemented
-        n = min(self.order, other.order)
         prod = _list_mul(_strip(self.coeffs[: n + 1]), _strip(other.coeffs[: n + 1]))
         return TruncatedSeries(prod[: n + 1], n)
 

@@ -319,6 +319,42 @@ def test_fib_terms_must_be_positive(capsys, terms):
     assert "--terms: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fold", "check", "--id", "rho-theorem", "--n", "-3"], "--n"),
+        (["fold", "check", "--id", "fg-mahler", "--order", "-1"], "--order"),
+        (["verify", "--id", "rho-theorem", "--max-level", "-2"], "--max-level"),
+        (["verify", "--id", "hn-recursions", "--order", "-4"], "--order"),
+    ],
+)
+def test_negative_levels_and_orders_exit_2(capsys, argv, flag):
+    # an empty range of levels is not a pass
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag}: must be >= 0" in captured.err
+
+
+def test_level_zero_is_accepted(capsys):
+    code, out = run(capsys, "fold", "check", "--id", "rho-theorem", "--n", "0")
+    assert code == 0
+    assert "n <= 0" in out
+
+
+def test_sign_word_cap_exits_2(capsys, monkeypatch):
+    # an order whose rho sign words would pass the letter cap is refused
+    from mahlerfold import folding
+
+    monkeypatch.setattr(folding, "MAX_SIGN_WORD_LETTERS", 1000)
+    assert main(["verify", "--id", "fg-mahler", "--order", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pass the cap of 1000" in captured.err
+
+
 def test_bad_input_process_exit_code():
     # the exit status and stderr of a real process, not just main's return value
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerfold import folding
 from mahlerfold.contfrac import Word, continuants, euclid_cf
 from mahlerfold.folding import (
     FoldEngine,
@@ -12,6 +13,7 @@ from mahlerfold.folding import (
     NotSpecialError,
     RuleConst,
     RuleRef,
+    StabilizationError,
     cohn_congruence_test,
     fold_continuants,
     fold_continuants_series,
@@ -376,6 +378,35 @@ def test_sign_gf_odd_positions():
         expect = 1 if m % 4 == 1 else -1
         assert f.coeffs[m] == expect
         assert g.coeffs[m] == -expect
+
+
+def test_sign_gf_unsettled_spec_fails_fast(monkeypatch):
+    # the prefixes of this spec's words never settle while their lengths
+    # double; the walk must stop before the first word over the letter cap
+    # instead of doubling the word length until max_iter
+    spec = parse_fold_spec("bases:[] ; rule: ~w1, -w1, -s*x")
+    built = []
+    sign_words = folding._sign_words
+
+    def recorded(spec):
+        for w in sign_words(spec):
+            built.append(len(w))
+            yield w
+
+    monkeypatch.setattr(folding, "_sign_words", recorded)
+    monkeypatch.setattr(folding, "MAX_SIGN_WORD_LETTERS", 10**4)
+    with pytest.raises(StabilizationError, match="pass the cap of 10000"):
+        sign_generating_functions(spec, 64)
+    assert built == word_lengths(spec, 13)  # 2^13 - 1 letters; 2^14 - 1 is over
+    assert max(built) <= 10**4
+
+
+def test_sign_gf_late_settling_spec():
+    # even words start with n/2 ones, so both parities settle only at level 11,
+    # long after the first word of order+1 letters (level 4)
+    f, g = sign_generating_functions("bases:[],[] ; rule: s*x, w2, w1", 3)
+    assert f.coeffs == (1, 1, 1, 1) and f.order == 3
+    assert g.coeffs == (-1, -1, -1, -1) and g.order == 3
 
 
 def test_ij_system():

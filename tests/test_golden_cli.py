@@ -40,6 +40,11 @@ CASES = {
     # rho at an exact rational point and at a root of unity at high precision
     "cf-rho-half-10": ["cf", "rho", "--point", "1/2", "--n", "10"],
     "cf-rho-root-5-16-512": ["cf", "rho", "--point", "root:5/16", "--bits", "512"],
+    # the exact root-of-unity branches: Q(sqrt5) at +-1, Q(i, sqrt5) at +-i
+    "cf-rho-root-1-1": ["cf", "rho", "--point", "root:1/1"],
+    "cf-rho-root-1-2": ["cf", "rho", "--point", "root:1/2"],
+    "cf-rho-root-1-4": ["cf", "rho", "--point", "root:1/4"],
+    "cf-rho-root-3-4": ["cf", "rho", "--point", "root:3/4"],
     # continued-fraction evaluation and continuants beyond the README
     "cf-eval-undefined": ["--json", "cf", "eval", "--word", '{"head": 1, "entries": [1, -1]}'],
     "cf-eval-poly": ["cf", "eval", "--word", '{"head": "x", "entries": ["x^2", "-x", "1/2"]}'],
