@@ -293,6 +293,8 @@ def rho_value(n: int, x, zero_tol=None):
 def _unwind_rho(n: int, x, tail, zero_tol=None):
     """1 + x/(1 + x^2/(... 1 + x^(2^(n-1))/tail)): rho_n with its innermost
     1 replaced by ``tail``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     partials = [1] * n + [tail]
     pairs = tuple((x ** (1 << i), a) for i, a in enumerate(partials[1:]))
     return eval_irregular(IrregularCF(partials[0], pairs), zero_tol=zero_tol)

@@ -4,13 +4,20 @@ Coefficients may be any exact field elements that support the usual
 arithmetic operators: ``int``, ``fractions.Fraction``, ``QuadNum``,
 ``GaussianRational``.  Integers are kept as integers (no forced promotion)
 so that the heavily used {0,1}-polynomials stay fast; mixed int/Fraction
-arithmetic is exact either way.
+arithmetic is exact either way.  Every product goes through ``_list_mul``:
+schoolbook for a short or non-int operand, else one signed Kronecker product
+(``_kronecker_mul``, one big-integer multiplication, ``array``-slot packing).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+_ORDER = sys.byteorder  # ``array`` slots are native-endian
+_SLOT_CODES = {array(c).itemsize: c for c in "bhiq"}  # signed slot width -> code
 
 
 def _strip(coeffs: list) -> tuple:
@@ -20,43 +27,39 @@ def _strip(coeffs: list) -> tuple:
     return tuple(coeffs[:n])
 
 
-def _all_int(coeffs: Sequence) -> bool:
-    return all(type(c) is int for c in coeffs)
-
-
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Multiply integer coefficient lists by packing into big integers.
+    """Multiply signed integer coefficient lists with one big-integer product.
 
-    Coefficients of the product are bounded by min(len) * max|a| * max|b|,
-    so a fixed byte width is safe; packing goes through bytes so it runs at
-    C speed.  Negative coefficients are handled by splitting each operand
-    into its positive and negative parts.
+    Every coefficient, and every coefficient of the product (at most
+    min(len) * max|a| * max|b| in size), fits a two's-complement slot of w
+    bytes: the smallest of 1/2/4/8 (an ``array`` item, packed and unpacked at
+    C speed), else ceil(bits/8) with per-slot ``int.to_bytes``.  XOR with an
+    offset that sets the top bit of every slot, minus that offset, turns the
+    packed slots into sum a_i 2^(8wi); adding the offset to the product and
+    XOR-ing it again turns the result back into signed slots.
     """
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    if not ma or not mb:
-        return [0] * (len(a) + len(b) - 1)
-    bound = min(len(a), len(b)) * ma * mb
-    width = (bound.bit_length() + 8) // 8  # bytes per coefficient
-
-    def pack(p: Sequence[int]) -> tuple[int, int]:
-        zero = bytes(width)
-        pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in p)
-        neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in p)
-        return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
-
-    def unpack(v: int, n: int) -> list[int]:
-        raw = v.to_bytes(n * width, "little")
-        return [
-            int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(n)
-        ]
-
-    apos, aneg = pack(a)
-    bpos, bneg = pack(b)
     n = len(a) + len(b) - 1
-    plus = unpack(apos * bpos + aneg * bneg, n)
-    minus = unpack(apos * bneg + aneg * bpos, n)
-    return [p - m for p, m in zip(plus, minus)]
+    ma, mb = max(max(a), -min(a)), max(max(b), -min(b))
+    if not ma or not mb:
+        return [0] * n
+    bits = (min(len(a), len(b)) * ma * mb).bit_length() + 1  # plus a sign bit
+    w = next((s for s in (1, 2, 4, 8) if 8 * s >= bits), (bits + 7) // 8)
+    code = _SLOT_CODES.get(w)
+    top = (1 << 8 * w - 1).to_bytes(w, _ORDER)
+
+    def pack(p: Sequence[int]) -> int:
+        if code:
+            raw = array(code, p).tobytes()
+        else:
+            raw = b"".join(c.to_bytes(w, _ORDER, signed=True) for c in p)
+        offset = int.from_bytes(top * len(p), _ORDER)
+        return (int.from_bytes(raw, _ORDER) ^ offset) - offset
+
+    offset = int.from_bytes(top * n, _ORDER)
+    raw = ((pack(a) * pack(b) + offset) ^ offset).to_bytes(n * w, _ORDER)
+    if code:
+        return array(code, raw).tolist()
+    return [int.from_bytes(raw[i : i + w], _ORDER, signed=True) for i in range(0, n * w, w)]
 
 
 def _list_mul(a: Sequence, b: Sequence) -> list:
@@ -64,10 +67,9 @@ def _list_mul(a: Sequence, b: Sequence) -> list:
         return []
     if len(a) < len(b):
         a, b = b, a
-    if _all_int(a) and _all_int(b):
-        if len(b) > 8:
-            return _kronecker_mul(a, b)
-        # schoolbook with the short operand outside beats packing overhead
+    if len(b) > 8 and {int}.issuperset(map(type, a)) and {int}.issuperset(map(type, b)):
+        return _kronecker_mul(a, b)
+    # schoolbook with the short operand outside beats packing overhead
     out = [0] * (len(a) + len(b) - 1)
     for j, y in enumerate(b):
         if y:

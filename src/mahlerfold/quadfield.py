@@ -56,8 +56,8 @@ class _Quadratic:
     def __eq__(self, other):
         return self.a == other.a and self.b == other.b
 
-    def __hash__(self):
-        return hash((self.a, self.b))
+    def __hash__(self):  # an embedded scalar (b = 0) hashes as that scalar
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

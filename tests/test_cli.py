@@ -220,6 +220,7 @@ def test_fib_identity_table_row(capsys):
         ["cf", "rho", "--point", "root:3/0"],
         ["cf", "rho", "--point", "root:3"],
         ["cf", "rho", "--point", "abc"],
+        ["cf", "rho", "--n", "-3", "--point", "0.5"],
         ["cf", "eval", "--word", "{bad"],
         ["cf", "eval", "--word", "[1, 2]"],
         ["fold", "iterate", "--spec", "bogus", "--n", "3"],

@@ -376,6 +376,14 @@ def test_limit_classify_parity_partial_outside_disk():
     assert abs(report.value_even - report.value_odd) > mp.mpf(10) ** -6
 
 
+def test_negative_levels_raise_at_points():
+    # a negative level has no continued fraction, as for rho_cf and lambda_value
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        rho_value(-3, Fraction(1, 2))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        rho_value(-1, mp.mpf(2))
+
+
 def test_limit_classify_needs_values():
     with pytest.raises(ValueError):
         limit_classify([1.0] * 7)

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerfold import poly
 from mahlerfold.poly import (
     ExprError,
     Polynomial,
     RationalFunction,
+    _list_mul,
     parse_poly,
     parse_rational,
 )
@@ -94,12 +96,59 @@ def test_gcd_divides_both(a, b):
         assert pb % g == P.zero()
 
 
-def test_kronecker_matches_schoolbook():
-    a = P([3, -7, 0, 11, -2])
-    b = P([-5, 0, 4, 9])
-    frac_a = P([Fraction(c) for c in a.coeffs])
-    frac_b = P([Fraction(c) for c in b.coeffs])
-    assert (a * b).coeffs == tuple(int(c) for c in (frac_a * frac_b).coeffs)
+def _convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# coefficients at and beside the 1/2/4/8-byte slot edges, and one far past them
+_EDGES = (2**7, 2**15, 2**31, 2**63 - 1, 2**63, 2**200)
+_edge_ints = st.sampled_from(_EDGES).flatmap(lambda e: st.sampled_from([e, -e, e - 1, 1 - e]))
+_coeffs = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70), _edge_ints)
+# 9+ terms each, so both operands pass the schoolbook cutoff; some zero-tailed
+_long_ints = st.tuples(st.lists(_coeffs, min_size=9, max_size=300), st.integers(0, 4)).map(
+    lambda t: t[0] + [0] * t[1]
+)
+
+
+@given(_long_ints, _long_ints)
+@settings(max_examples=150, deadline=None)
+def test_kronecker_matches_schoolbook(a, b):
+    out = _list_mul(a, b)
+    assert out == _convolution(a, b)
+    assert all(type(c) is int for c in out)
+
+
+@pytest.mark.parametrize("k", [7, 15, 31, 63, 200])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kronecker_bounds_at_slot_edges(monkeypatch, k, sign):
+    # 16 * m * 1 is the coefficient bound; with equal terms the middle
+    # coefficient reaches it: 2^k - 16 still fits a k+1-bit slot, 2^k does not
+    calls, kron = [], poly._kronecker_mul
+    monkeypatch.setattr(poly, "_kronecker_mul", lambda a, b: calls.append(1) or kron(a, b))
+    for m in (2 ** (k - 4) - 1, 2 ** (k - 4)):
+        a, b = [sign * m] * 16, [1] * 16
+        out = (P(a) * P(b)).coeffs
+        assert list(out) == _convolution(a, b) and out[15] == sign * 16 * m
+        assert all(type(c) is int for c in out)
+    assert len(calls) == 2
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=9, max_size=40),
+    st.lists(st.fractions(-5, 5, max_denominator=6), min_size=9, max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_fraction_operands_fall_through_to_schoolbook(ints, fracs):
+    for a, b in ((ints, fracs), (fracs, ints), (fracs, fracs)):
+        out = _list_mul(a, b)
+        assert out == _convolution(a, b)
+        assert all(type(c) is Fraction for c in out if c)
+    two = (P([Fraction(2, 1)] * 9) * P(list(range(1, 10)))).coeffs
+    assert all(type(c) is Fraction for c in two)
 
 
 def test_rational_function_normalization():

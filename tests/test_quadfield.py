@@ -156,3 +156,27 @@ def test_immutable_and_mixed_equality():
     assert GaussianRational(3) == 3 and QuadNum(Fraction(1, 2)) == Fraction(1, 2)
     assert GaussianRational(0, 1) == QuadNum(GaussianRational(0, 1), GaussianRational(0))
     assert QuadNum(1, 1) != "1+sqrt5"
+
+
+@pytest.mark.parametrize(
+    "value, scalar",
+    [
+        (GaussianRational(3), 3),
+        (GaussianRational(Fraction(-5, 4)), Fraction(-5, 4)),
+        (QuadNum(3), 3),
+        (QuadNum(Fraction(1, 2)), Fraction(1, 2)),
+        (QuadNum(GaussianRational(3), GaussianRational(0)), 3),
+        (QuadNum(GaussianRational(Fraction(2, 7)), GaussianRational(0)), Fraction(2, 7)),
+        (QuadNum(GaussianRational(0, 1), GaussianRational(0)), GaussianRational(0, 1)),
+    ],
+)
+def test_embedded_scalars_hash_as_the_scalar(value, scalar):
+    # equal values must hash equal, so set and dict lookups work both ways
+    assert value == scalar and hash(value) == hash(scalar)
+    assert scalar in {value} and value in {scalar}
+    assert {scalar: "found"}[value] == "found" and {value: "found"}[scalar] == "found"
+
+
+def test_irrational_values_stay_distinct_keys():
+    keys = {QuadNum(1, 1), QuadNum(1, -1), GaussianRational(1, 1), 1}
+    assert len(keys) == 4 and QuadNum(1) in keys and PHI * 2 in keys
