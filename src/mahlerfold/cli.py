@@ -21,8 +21,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import contfrac, curve, fiblucas, folding, hadamard
-from .identities import REGISTRY
-from .poly import Polynomial, RationalFunction, parse_poly, parse_rational
+from .identities import FOLD_CHECKS, REGISTRY
+from .poly import RationalFunction, parse_poly, parse_rational
 from .series import TruncatedSeries, expand_named
 
 SCHEMA = 1
@@ -56,47 +56,24 @@ def cmd_expand(args) -> int:
     return 0
 
 
-FOLD_CHECKS = ("rho-theorem", "fg-mahler", "ij-system", "e-words")
+_DETAIL = {"series": "order {}", "prefix": "levels <= {}", "fold": "n <= {}"}
 
 
-def _run_fold_check(check: str, order: int, max_level: int) -> tuple[bool, str]:
-    from .series import truncated_partial
-
-    if check == "rho-theorem":
-        engine = folding.FoldEngine("rho", Polynomial.x())
-        lengths = folding.word_lengths("rho", max_level)
-        for n in range(max_level + 1):
-            mat = engine.with_head(n, folding.rho_head(n))
-            expect_k = ((1 << (n + 1)) + (-1) ** n) // 3 - 1
-            if lengths[n] != expect_k:
-                return False, f"length mismatch at n={n}"
-            if mat.p != truncated_partial("H", n):
-                return False, f"p != H_n at n={n}"
-            if mat.q != truncated_partial("H", n - 1).substitute_power(2):
-                return False, f"q != H_(n-1)(x^2) at n={n}"
-        return True, f"n <= {max_level}"
-    if check == "fg-mahler":
-        res_f, res_g = folding.rho_word_equations(order)
-        ok = res_f.is_zero() and res_g.is_zero()
-        return ok, f"order {order}"
-    if check == "ij-system":
-        report = folding.ij_system_check(order)
-        return report.ok, f"order {order}"
-    if check == "e-words":
-        for n in range(0, 9):
-            w = folding.iterate_fold("rho", n)
-            e_next = folding.signed_even_subword(folding.iterate_fold("rho", n + 1))
-            if n % 2 == 0:
-                if w != [-s for s in e_next]:
-                    return False, f"w_n != -e_(n+1) at n={n}"
-            else:
-                if [1] + w != e_next:
-                    return False, f"[1, w_n] != e_(n+1) at n={n}"
-        return True, "n <= 8"
-    raise ValueError(f"unknown fold check {check!r}")
+def _entry(ident: str, ok: bool, detail: str) -> dict:
+    return {"id": ident, "status": "pass" if ok else "FAIL", "detail": detail}
 
 
-def _random_spotchecks(seed: int) -> list[tuple[str, bool, str]]:
+def _run_check(ident: str, order: int, max_level: int) -> dict:
+    """Run one catalogue entry: a fold check gets the level, any other the order."""
+    check = {**REGISTRY, **FOLD_CHECKS}[ident]  # at call time: a tracer may rebind entries
+    report = check.run(max_level if check.kind == "fold" else order)
+    detail = _DETAIL[check.kind].format(report.checked)
+    if report.first_failure is not None:
+        detail += f"; first failure at {report.first_failure}"
+    return _entry(ident, report.holds, detail)
+
+
+def _random_spotchecks(seed: int) -> list[dict]:
     """Randomized determinant-law samples run with the whole catalogue."""
     rng = random.Random(seed)
     results = []
@@ -107,44 +84,19 @@ def _random_spotchecks(seed: int) -> list[tuple[str, bool, str]]:
         )
         n = len(word.entries)  # index of the last symbol
         ok = contfrac.continuants(word).det() == (-1) ** (n + 1)
-        results.append((f"determinant-law[{trial}]", ok, f"n={n}"))
+        results.append({**_entry(f"determinant-law[{trial}]", ok, f"n={n}"), "ms": 0.0})
     return results
 
 
 def cmd_verify(args) -> int:
-    order = args.order
-    max_level = args.max_level
     entries = []
-    failures = []
-    if args.id:
-        ids = [args.id]
-    else:
-        ids = list(REGISTRY) + list(FOLD_CHECKS)
-    for ident in ids:
+    for ident in [args.id] if args.id else [*REGISTRY, *FOLD_CHECKS]:
         start = time.monotonic()
-        if ident in REGISTRY:
-            report = REGISTRY[ident].run(order)
-            ok = report.holds
-            detail = (
-                f"order {report.checked}"
-                if REGISTRY[ident].kind == "series"
-                else f"levels <= {report.checked}"
-            )
-            if not ok:
-                detail += f"; first failure at {report.first_failure}"
-        else:
-            ok, detail = _run_fold_check(ident, order, max_level)
-        elapsed = (time.monotonic() - start) * 1000.0
-        entries.append({"id": ident, "status": "pass" if ok else "FAIL",
-                        "detail": detail, "ms": round(elapsed, 1)})
-        if not ok:
-            failures.append(ident)
+        entry = _run_check(ident, args.order, args.max_level)
+        entries.append({**entry, "ms": round((time.monotonic() - start) * 1000.0, 1)})
     if not args.id:
-        for name, ok, detail in _random_spotchecks(args.seed):
-            entries.append({"id": name, "status": "pass" if ok else "FAIL",
-                            "detail": detail, "ms": 0.0})
-            if not ok:
-                failures.append(name)
+        entries += _random_spotchecks(args.seed)
+    failures = [e["id"] for e in entries if e["status"] == "FAIL"]
     if args.json:
         print(json.dumps({"schema": SCHEMA, "entries": entries,
                           "failures": failures}, sort_keys=True))
@@ -249,9 +201,9 @@ def cmd_fold(args) -> int:
         _emit(payload, args.json)
         return 0
     if args.fold_cmd == "check":
-        ok, detail = _run_fold_check(args.id, args.order, args.n)
-        _emit({"id": args.id, "status": "pass" if ok else "FAIL", "detail": detail}, args.json)
-        return 0 if ok else 1
+        entry = _run_check(args.id, args.order, args.n)
+        _emit(entry, args.json)
+        return 0 if entry["status"] == "pass" else 1
     if args.fold_cmd == "cohn":
         f = parse_poly(args.poly)
         mode = "cohn_sum" if args.mode == "sum" else "irregular"
@@ -454,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify", help="run identity checks")
     which = p.add_mutually_exclusive_group()
-    which.add_argument("--id", help="one identity id")
+    which.add_argument("--id", choices=[*REGISTRY, *FOLD_CHECKS], help="one identity id")
     which.add_argument("--all", action="store_true", help="run the whole catalogue")
     p.add_argument("--order", type=nonnegative_int, default=256)
     p.add_argument("--max-level", type=nonnegative_int, default=10)
@@ -531,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--f", required=True)
     q.add_argument("--g", required=True)
     q.add_argument("--k", type=int, default=2)
-    q.add_argument("--dmax", type=int, default=4)
-    q.add_argument("--degmax", type=int, default=8)
+    q.add_argument("--dmax", type=nonnegative_int, default=4)
+    q.add_argument("--degmax", type=nonnegative_int, default=8)
     q.add_argument("--order", type=int, default=256)
     q.set_defaults(func=cmd_hadamard)
 

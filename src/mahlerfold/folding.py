@@ -248,11 +248,25 @@ def _sign_words(spec: FoldSpec):
 
 
 def iterate_fold(spec, n: int) -> list[int]:
-    """The sign word w_n as a list over {+1, -1}."""
+    """The sign word w_n as a list over {+1, -1}; refused past MAX_SIGN_WORD_LETTERS."""
     spec = resolve_spec(spec)
     if n < 0:
         raise ValueError("n must be >= 0")
+    if _passes_letter_cap(spec, n):
+        raise ValueError(f"w_{n} would pass the cap of {MAX_SIGN_WORD_LETTERS} letters")
     return next(islice(_sign_words(spec), n, None))
+
+
+def _passes_letter_cap(spec: FoldSpec, n: int) -> bool:
+    """Whether |w_n| > MAX_SIGN_WORD_LETTERS, from lengths saturating at the cap + 1;
+    stops once max_depth successive words pass it, as every later word contains one."""
+    top, run = MAX_SIGN_WORD_LETTERS + 1, 0
+    lengths = _unfold(spec, int, lambda k, s: min(k + 1, top), lambda k, r, ref: min(k + r, top))
+    for m, length in enumerate(islice(lengths, n + 1)):
+        run = run + 1 if length == top and m >= len(spec.bases) else 0
+        if run and run == spec.max_depth():
+            return True
+    return length == top
 
 
 def word_lengths(spec, n: int) -> list[int]:
@@ -400,8 +414,8 @@ class StabilizationError(RuntimeError):
     pass
 
 
-# A sign word is a Python list, 8 bytes a letter; the walk gives up before it
-# would build a longer word (64 MiB) rather than exhaust memory.
+# A sign word is a Python list, 8 bytes a letter; iterate_fold and the walk
+# below refuse to build a longer word (64 MiB) rather than exhaust memory.
 MAX_SIGN_WORD_LETTERS = 1 << 23
 
 

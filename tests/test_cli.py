@@ -312,6 +312,15 @@ def test_conflicting_flags_exit_2(capsys, argv):
     assert "not allowed with argument" in captured.err
 
 
+def test_unknown_verify_id_exit_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--id", "nope"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+
+
 @pytest.mark.parametrize("terms", ["0", "-1"])
 def test_fib_terms_must_be_positive(capsys, terms):
     with pytest.raises(SystemExit) as err:
@@ -327,6 +336,8 @@ def test_fib_terms_must_be_positive(capsys, terms):
         (["fold", "check", "--id", "fg-mahler", "--order", "-1"], "--order"),
         (["verify", "--id", "rho-theorem", "--max-level", "-2"], "--max-level"),
         (["verify", "--id", "hn-recursions", "--order", "-4"], "--order"),
+        (["hadamard", "probe", "--f", "F", "--g", "1/(1-x)", "--dmax", "-1"], "--dmax"),
+        (["hadamard", "probe", "--f", "F", "--g", "1/(1-x)", "--degmax", "-1"], "--degmax"),
     ],
 )
 def test_negative_levels_and_orders_exit_2(capsys, argv, flag):
@@ -354,6 +365,40 @@ def test_sign_word_cap_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "pass the cap of 1000" in captured.err
+
+
+@pytest.mark.parametrize("cmd", [["fold", "iterate"], ["curve", "check"]])
+def test_sign_word_letter_cap_exits_2(capsys, monkeypatch, cmd):
+    # a level whose word would pass the letter cap is refused before it is built
+    from mahlerfold import folding
+
+    monkeypatch.setattr(folding, "MAX_SIGN_WORD_LETTERS", 100)
+    assert main(cmd + ["--spec", "dragon", "--n", "6"]) == 0  # 64 letters
+    capsys.readouterr()
+    assert main(cmd + ["--spec", "dragon", "--n", "7"]) == 2  # 128 letters
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mahlerfold: error: w_7 would pass the cap of 100 letters\n"
+
+
+def test_failing_fold_check_reports_first_level(capsys, monkeypatch):
+    # H_3 corrupted: the rho theorem first fails at level 3, in verify and fold check
+    from mahlerfold import identities
+
+    partial = identities.truncated_partial
+
+    def corrupted(name, n):
+        return partial(name, n) + 1 if (name, n) == ("H", 3) else partial(name, n)
+
+    monkeypatch.setattr(identities, "truncated_partial", corrupted)
+    code, out = run(capsys, "--json", "verify", "--id", "rho-theorem")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["failures"] == ["rho-theorem"]
+    assert payload["entries"][0]["detail"] == "n <= 10; first failure at 3"
+    code, out = run(capsys, "fold", "check", "--id", "rho-theorem", "--n", "10")
+    assert code == 1
+    assert out == "id: rho-theorem\nstatus: FAIL\ndetail: n <= 10; first failure at 3\n"
 
 
 def test_bad_input_process_exit_code():

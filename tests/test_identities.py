@@ -1,7 +1,8 @@
 import pytest
 
-from mahlerfold.identities import REGISTRY, identity_ids, verify_series_identity
-from mahlerfold.identities import _series_report
+from mahlerfold import identities
+from mahlerfold.identities import FOLD_CHECKS, REGISTRY, identity_ids, verify_series_identity
+from mahlerfold.identities import _level_report, _series_report
 from mahlerfold.poly import Polynomial
 from mahlerfold.series import TruncatedSeries, expand_named, truncated_partial
 
@@ -60,3 +61,25 @@ def test_registry_metadata():
         entry = REGISTRY[ident]
         assert entry.kind in ("series", "prefix")
         assert entry.description
+
+
+@pytest.mark.parametrize("ident", list(FOLD_CHECKS))
+def test_fold_checks_hold(ident):
+    check = FOLD_CHECKS[ident]
+    assert check.kind in ("fold", "series") and check.description
+    report = check.run(6 if check.kind == "fold" else 64)
+    assert report.holds and report.first_failure is None
+
+
+def test_level_report_first_failing_level():
+    report = _level_report("demo", 1, 9, lambda n: n not in (4, 7))
+    assert report == identities.IdentityReport("demo", False, 4, 9)
+    assert _level_report("demo", 0, 3, lambda n: True).holds
+
+
+def test_fg_mahler_reports_first_nonzero_residual(monkeypatch):
+    zero = TruncatedSeries.zero(32)
+    bad = TruncatedSeries([0] * 11 + [1], 32)
+    monkeypatch.setattr(identities.folding, "rho_word_equations", lambda order: (zero, bad))
+    report = FOLD_CHECKS["fg-mahler"].run(32)
+    assert (report.holds, report.first_failure, report.checked) == (False, 11, 32)
