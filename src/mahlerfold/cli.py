@@ -45,6 +45,19 @@ def _series_payload(name: str, series: TruncatedSeries) -> dict:
     }
 
 
+def _exact_str(value) -> str:
+    """str() of an exact value whose integers may have more digits than
+    Python's int-to-str limit, which guards parsing input, not our output."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 # expand / verify
 # ---------------------------------------------------------------------------
@@ -150,7 +163,7 @@ def cmd_cf(args) -> int:
             except contfrac.DivisionByZero as exc:
                 _emit({"undefined_at_depth": exc.depth}, args.json)
                 return 1
-        _emit({"value": str(value)}, args.json)
+        _emit({"value": _exact_str(value)}, args.json)
         return 0
     if args.cf_cmd == "euclid":
         num = parse_poly(args.num)
@@ -166,14 +179,14 @@ def cmd_cf(args) -> int:
             if denom < 1 or 1 << n != denom:
                 raise ValueError("root denominator must be a power of two")
             value = contfrac.rho_at_root_of_unity(n, a, args.bits)
-            _emit({"value": str(value)}, args.json)
+            _emit({"value": _exact_str(value)}, args.json)
             return 0
         point = _parse_point(args.point) if args.point else None
         if point is None:
             raise ValueError("cf rho requires --point")
         with mp.workprec(args.bits):
             value = contfrac.rho_value(args.n, point)
-        _emit({"value": str(value)}, args.json)
+        _emit({"value": _exact_str(value)}, args.json)
         return 0
     raise AssertionError
 
@@ -337,19 +350,6 @@ def cmd_hadamard(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _exact_str(value) -> str:
-    """str() of an exact value whose integers may have more digits than
-    Python's int-to-str limit, which guards parsing input, not our output."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        return str(value)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def cmd_fib(args) -> int:
     result = fiblucas.run_identity(args.id, args.terms)
     delta = result.delta_mp(args.bits)
@@ -386,13 +386,13 @@ def nonnegative_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mahlerfold")
     parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--bits", type=int, default=256, help="big-float precision")
+    parser.add_argument("--bits", type=positive_int, default=256, help="big-float precision")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # trailing flag from clobbering one given up front
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--bits", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--bits", type=positive_int, default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=argparse.ArgumentParser)
 

@@ -14,6 +14,7 @@ only build partial quotients for it), and every scalar quotient goes through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
@@ -284,9 +285,25 @@ def rho_rational(n: int) -> RationalFunction:
     return val
 
 
+# Exact values past 2^MAX_RESULT_BITS_LOG2 bits take from seconds to minutes to
+# compute and print, and each further level (rho) or term (fiblucas) multiplies
+# that by about 4, so they are refused before the work starts.
+MAX_RESULT_BITS_LOG2 = 20
+
+
 def rho_value(n: int, x, zero_tol=None):
     """rho_n at a point, evaluated back-to-front without materializing the
-    dense x^(2^i) monomials (exact for Fraction/QuadNum, numeric for mpf)."""
+    dense x^(2^i) monomials (exact for Fraction/QuadNum, numeric for mpf).
+
+    At a rational point of b bits (numerator or denominator) the exact value
+    has up to 2^n * b bits; past 2^MAX_RESULT_BITS_LOG2 it is refused."""
+    if isinstance(x, (int, Fraction)) and n >= 0:
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        if bits << n > 1 << MAX_RESULT_BITS_LOG2:
+            raise ValueError(
+                f"rho_{n} at {x} has exact values of up to 2^{n} * {bits} bits, "
+                f"over the cap of 2^{MAX_RESULT_BITS_LOG2} bits"
+            )
     return _unwind_rho(n, x, x * 0 + 1, zero_tol)
 
 

@@ -15,7 +15,7 @@ from functools import partial
 
 import mpmath as mp
 
-from .contfrac import IrregularCF, eval_irregular
+from .contfrac import MAX_RESULT_BITS_LOG2, IrregularCF, eval_irregular
 from .poly import Polynomial, RationalFunction, parse_rational
 from .quadfield import PHI, SQRT5, QuadNum
 
@@ -320,16 +320,13 @@ IDENTITIES = {
 IDENTITY_IDS = tuple(IDENTITIES)
 
 
-# Term n of every identity involves F(2^n) and L(2^n), about phi^(2^n), so the
-# exact value at ``terms`` has numerators and denominators of under
-# 2^(terms + 2) bits.  Past 2^20 bits (terms > 18) computing and printing it
-# takes from seconds to minutes, and each further term multiplies that by 4.
-MAX_RESULT_BITS_LOG2 = 20
-
-
 def run_identity(identity: str, terms: int):
     """Dispatch an identity id to its exact evaluation; refuse a ``terms``
-    whose result would exceed 2^MAX_RESULT_BITS_LOG2 bits."""
+    whose result would exceed 2^MAX_RESULT_BITS_LOG2 bits.
+
+    Term n of every identity involves F(2^n) and L(2^n), about phi^(2^n), so
+    the exact value at ``terms`` has numerators and denominators of under
+    2^(terms + 2) bits."""
     if terms + 2 > MAX_RESULT_BITS_LOG2:
         raise ValueError(
             f"{terms} terms give exact values of up to 2^{terms + 2} bits, over the cap "

@@ -524,8 +524,6 @@ def ij_series(order: int):
 def ij_system_check(order: int) -> IJReport:
     """Verify I(x) = J(x^2) + x/(1+x^6), J(x) = I(x^2) - x^5/(1+x^6) and the
     once-iterated forms, exactly to the given order."""
-    if order < 8:
-        raise ValueError("order must be >= 8")
     i_s, j_s = ij_series(order)
     g6 = TruncatedSeries.one(order) / (1 + Polynomial.monomial(6))
     g12 = TruncatedSeries.one(order) / (1 + Polynomial.monomial(12))

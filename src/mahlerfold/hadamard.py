@@ -34,18 +34,6 @@ def _squarefree_radical(p: Polynomial) -> Polynomial:
     return (p // g).monic() if g.degree > 0 else p.monic()
 
 
-def _pow_x_mod(d: int, modulus: Polynomial) -> Polynomial:
-    """x^d mod modulus by repeated squaring."""
-    result = Polynomial.one() % modulus
-    base = Polynomial.x() % modulus
-    while d:
-        if d & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        d >>= 1
-    return result
-
-
 def is_complete_hadamard_rational(f: RationalFunction) -> CompleteHadamardResult:
     """Classify r/s: complete Hadamard iff every root of s is a root of unity.
 
@@ -53,7 +41,7 @@ def is_complete_hadamard_rational(f: RationalFunction) -> CompleteHadamardResult
     gcd(h, x^d - 1) for candidate orders d.  Euler's phi satisfies
     phi(d) >= sqrt(d/2), so any root order d of a degree-e factor obeys
     d <= 2 e^2; enumerating d up to 2 deg(h)^2 is exhaustive.  x^d - 1 is
-    never materialized: x^d mod h is computed by repeated squaring.
+    never materialized: x^d mod h is x^(d-1) mod h shifted and reduced.
     """
     if f.den.coeff(0) == 0:
         raise ZeroDivisionError("denominator vanishes at 0")
@@ -62,13 +50,16 @@ def is_complete_hadamard_rational(f: RationalFunction) -> CompleteHadamardResult
         return CompleteHadamardResult(True, m=1)
     bound = 2 * h.degree * h.degree
     m = 1
+    power = Polynomial.one()  # x^d mod h, with deg h >= 1
     for d in range(1, bound + 1):
-        g = h.gcd(_pow_x_mod(d, h) - Polynomial.one())
+        power = power.shift(1) % h
+        g = h.gcd(power - Polynomial.one())
         if g.degree > 0:
             h = (h // g).monic()
             m = lcm(m, d)
             if h.degree <= 0:
                 return CompleteHadamardResult(True, m=m)
+            power = power % h  # the new h divides the old one
     # h is monic, so its primitive integer multiple has a positive lead
     return CompleteHadamardResult(False, witness=Polynomial(_to_int_coeffs(h.coeffs)))
 
@@ -237,6 +228,8 @@ def hadamard_mahler_probe(
     not a proof of non-Mahlerness.  The first solution in the (d, then RREF
     free-column) enumeration order is returned after exact re-verification.
     """
+    if k < 2:
+        raise ValueError("k must be >= 2")
     if order > f.order:
         raise ValueError("order exceeds the truncation order of f")
     h = hadamard_product(f, TruncatedSeries.from_rational(g, f.order)).truncate(order)

@@ -7,6 +7,10 @@ so that the heavily used {0,1}-polynomials stay fast; mixed int/Fraction
 arithmetic is exact either way.  Every product goes through ``_list_mul``:
 schoolbook for a short or non-int operand, else one signed Kronecker product
 (``_kronecker_mul``, one big-integer multiplication, ``array``-slot packing).
+
+``_Exact``, ``_coerced`` and ``_power`` are the one arithmetic protocol of the
+exact element classes (here, in ``series`` and in ``quadfield``): a coerced
+binary method, subtraction, immutability and square-and-multiply.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 _ORDER = sys.byteorder  # ``array`` slots are native-endian
@@ -79,16 +84,50 @@ def _list_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-class Polynomial:
+def _coerced(op):
+    """``op`` on ``other`` coerced by ``self._coerce``; NotImplemented if it does not embed."""
+
+    def method(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+
+    return method
+
+
+def _power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+class _Exact:
+    """Immutable exact ring element; subclasses give ``_coerce``, ``__add__``
+    and ``__neg__``, and subtraction follows from them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @_coerced
+    def __sub__(self, other):
+        return self + (-other)
+
+    __rsub__ = _coerced(lambda self, other: other - self)
+
+
+class Polynomial(_Exact):
     """Immutable dense polynomial; ``coeffs[i]`` is the coefficient of x^i."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):  # strips trailing zeros
         object.__setattr__(self, "coeffs", _strip(list(coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls) -> Polynomial:
@@ -133,10 +172,8 @@ class Polynomial:
             return self == Polynomial.constant(other)
         return NotImplemented
 
+    @_coerced
     def __add__(self, other) -> Polynomial:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -150,15 +187,6 @@ class Polynomial:
     def __neg__(self) -> Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
-    def __sub__(self, other) -> Polynomial:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> Polynomial:
-        return (-self) + other
-
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, Polynomial):
             return Polynomial(_list_mul(self.coeffs, other.coeffs))
@@ -171,14 +199,7 @@ class Polynomial:
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial.one())
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -187,9 +208,9 @@ class Polynomial:
             return Polynomial.constant(other)
         return NotImplemented
 
+    @_coerced
     def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Exact field division with remainder; ``other`` must be nonzero."""
-        other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -230,11 +251,7 @@ class Polynomial:
         if a is not None and b is not None:
             if _coprime_mod_p(a, b):
                 return Polynomial.one()
-            g = _int_gcd(a, b)
-            lead = g[-1]
-            if lead != 1:
-                g = [_exact_div(c, lead) for c in g]
-            return Polynomial(g)
+            return Polynomial(_int_gcd(a, b)).monic()
         x, y = self, other
         while y:
             x, y = y, x % y
@@ -315,21 +332,19 @@ class Polynomial:
 
 def _to_int_coeffs(coeffs) -> list[int] | None:
     """Clear denominators to a primitive integer list; None if not rational."""
-    from math import gcd as igcd
-
     lcm = 1
     for c in coeffs:
         if type(c) is int:
             continue
         if isinstance(c, Fraction):
             d = c.denominator
-            lcm = lcm // igcd(lcm, d) * d
+            lcm = lcm // gcd(lcm, d) * d
         else:
             return None
     ints = [int(c * lcm) for c in coeffs]
     content = 0
     for v in ints:
-        content = igcd(content, v)
+        content = gcd(content, v)
     if content > 1:
         ints = [v // content for v in ints]
     return ints
@@ -369,34 +384,23 @@ def _coprime_mod_p(a: list[int], b: list[int], p: int = _GCD_PRIME) -> bool:
 
 
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive pseudo-remainder sequence over Z; returns a primitive gcd."""
-    from math import gcd as igcd
-
+    """Primitive pseudo-remainder sequence over Z; returns a primitive gcd
+    (up to sign)."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _pseudo_rem(a, b)
-        content = 0
-        for v in r:
-            content = igcd(content, v)
-        if content > 1:
-            r = [v // content for v in r]
-        a, b = b, r
-    if a and a[-1] < 0:
-        a = [-v for v in a]
+        a, b = b, _to_int_coeffs(_pseudo_rem(a, b))
     return a
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    from math import gcd as igcd
-
     db = len(b) - 1
     lc = b[-1]
     rem = list(a)
     for i in range(len(a) - db - 1, -1, -1):
         c = rem[i + db]
         if c:
-            g = igcd(c, lc)
+            g = gcd(c, lc)
             scale, mult = lc // g, c // g
             if scale != 1:
                 for j in range(i + db):
@@ -453,7 +457,7 @@ def format_poly(p: Polynomial, var: str = "x") -> str:
     return out
 
 
-class RationalFunction:
+class RationalFunction(_Exact):
     """Quotient of polynomials kept in lowest terms with monic denominator."""
 
     __slots__ = ("num", "den")
@@ -479,9 +483,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
     @classmethod
     def from_poly(cls, p: Polynomial) -> RationalFunction:
         return cls(p, Polynomial.one())
@@ -494,6 +495,16 @@ class RationalFunction:
     def constant(cls, c) -> RationalFunction:
         return cls(Polynomial.constant(c))
 
+    @classmethod
+    def _coerce(cls, v):
+        if isinstance(v, cls):
+            return v
+        if isinstance(v, Polynomial):
+            return cls.from_poly(v)
+        if isinstance(v, (int, Fraction)):
+            return cls.constant(v)
+        return NotImplemented
+
     def is_zero(self) -> bool:
         return not self.num
 
@@ -503,16 +514,12 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num.coeffs, self.den.coeffs))
 
+    @_coerced
     def __eq__(self, other) -> bool:
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.num == other.num and self.den == other.den
 
+    @_coerced
     def __add__(self, other) -> RationalFunction:
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -520,33 +527,19 @@ class RationalFunction:
     def __neg__(self) -> RationalFunction:
         return RationalFunction(-self.num, self.den)
 
-    def __sub__(self, other) -> RationalFunction:
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> RationalFunction:
-        return (-self) + other
-
+    @_coerced
     def __mul__(self, other) -> RationalFunction:
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other) -> RationalFunction:
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other) -> RationalFunction:
-        return _coerce_rf(other) / self
+    __rtruediv__ = _coerced(lambda self, other: other / self)
 
     def __pow__(self, n: int) -> RationalFunction:
         if n < 0:
@@ -570,16 +563,6 @@ class RationalFunction:
         if self.den == Polynomial.one():
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-def _coerce_rf(v):
-    if isinstance(v, RationalFunction):
-        return v
-    if isinstance(v, Polynomial):
-        return RationalFunction.from_poly(v)
-    if isinstance(v, (int, Fraction)):
-        return RationalFunction.constant(v)
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,14 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .poly import _coerced, _Exact, _power
+
 
 def _mpf(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
 
-def _coerced(op):
-    """``op`` on ``other`` coerced into the field; NotImplemented if it does not embed."""
-
-    def method(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else op(self, other)
-
-    return method
-
-
-class _Quadratic:
+class _Quadratic(_Exact):
     """a + b*sqrt(D); conjugation (a, -b) is a field automorphism.
 
     Subclasses set ``D``, ``_FIELD`` (its name in error messages),
@@ -40,9 +32,6 @@ class _Quadratic:
     def __init__(self, a=0, b=0):
         object.__setattr__(self, "a", self._component(a))
         object.__setattr__(self, "b", self._component(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _coerce(cls, v):
@@ -70,13 +59,6 @@ class _Quadratic:
 
     def __neg__(self):
         return type(self)(-self.a, -self.b)
-
-    @_coerced
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     @_coerced
     def __mul__(self, other):
@@ -109,14 +91,7 @@ class _Quadratic:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = type(self)(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, type(self)(1, 0))
 
 
 class GaussianRational(_Quadratic):

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, RationalFunction, _exact_div, _list_mul, _strip
+from .poly import Polynomial, RationalFunction, _coerced, _exact_div, _Exact, _list_mul, _strip
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Exact):
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
@@ -34,9 +34,6 @@ class TruncatedSeries:
             coeffs += [0] * (order + 1 - len(coeffs))
         object.__setattr__(self, "coeffs", tuple(coeffs[: order + 1]))
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def zero(cls, order: int) -> TruncatedSeries:
@@ -81,10 +78,8 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    @_coerced
     def __add__(self, other) -> TruncatedSeries:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         n = min(self.order, other.order)
         return TruncatedSeries(
             [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n
@@ -94,15 +89,6 @@ class TruncatedSeries:
 
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other) -> TruncatedSeries:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> TruncatedSeries:
-        return (-self) + other
 
     def __mul__(self, other) -> TruncatedSeries:
         if isinstance(other, (int, Fraction)):
@@ -118,11 +104,9 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other) -> TruncatedSeries:
         """Series division; the divisor must be a unit (nonzero constant term)."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         n = min(self.order, other.order)
         d0 = other.coeffs[0]
         if not d0:

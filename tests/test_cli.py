@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from mahlerfold.cli import main
+from mahlerfold.contfrac import rho_value
 from mahlerfold.fiblucas import run_identity
+from mahlerfold.identities import FOLD_CHECKS, REGISTRY
 
 
 def run(capsys, *argv):
@@ -228,6 +231,7 @@ def test_fib_identity_table_row(capsys):
         ["fold", "cohn", "--poly", "x^9+1", "--nmax", "6"],
         ["fib", "identity", "--id", "lucas", "--terms", "3"],
         ["curve", "render", "--spec", "dragon", "--n", "3", "--out", "-", "--overlay", "rho"],
+        ["hadamard", "probe", "--f", "F", "--g", "1/(1-x)", "--k", "0", "--dmax", "1"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -280,6 +284,34 @@ def test_fib_identity_cost_guard(capsys):
     assert captured.err.startswith("mahlerfold: error: 25 terms give exact values of up to 2^27 bits")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert main(["fib", "identity", "--id", "table-1", "--terms", "18"]) == 0
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+def test_cf_rho_prints_past_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "cf", "rho", "--point", "1/2")  # the default --n 16
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"value: {rho_value(16, Fraction(1, 2))}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_cf_rho_cost_guard(capsys):
+    t0 = time.monotonic()
+    code = main(["cf", "rho", "--n", "24", "--point", "1/3"])
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "mahlerfold: error: rho_24 at 1/3 has exact values of up to 2^24 * 2 bits, "
+        "over the cap of 2^20 bits\n"
+    )
 
 
 @pytest.mark.parametrize("name", ["missing-dir/x.svg", "."])
@@ -348,6 +380,32 @@ def test_negative_levels_and_orders_exit_2(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag}: must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bits", "-5", "fib", "identity", "--id", "good"],
+        ["fib", "identity", "--id", "good", "--bits", "0"],
+    ],
+)
+def test_bits_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bits: must be >= 1" in captured.err
+
+
+def test_verify_all_at_a_low_order(capsys):
+    # every catalogue entry, the I/J system included, holds at any order
+    code, out = run(capsys, "--json", "verify", "--all", "--order", "4")
+    assert code == 0
+    payload = json.loads(out)
+    ids = [*REGISTRY, *FOLD_CHECKS, *(f"determinant-law[{i}]" for i in range(3))]
+    assert [e["id"] for e in payload["entries"]] == ids and len(ids) == 18
+    assert payload["failures"] == []
 
 
 def test_level_zero_is_accepted(capsys):

@@ -414,6 +414,10 @@ def test_ij_system():
     assert report.ok
 
 
+def test_ij_system_holds_at_low_orders():
+    assert all(ij_system_check(order).ok for order in range(10))
+
+
 def test_ij_coefficient_range():
     i_s, j_s = ij_series(96)
     assert set(i_s.coeffs) <= {0, 1, -1}

@@ -246,6 +246,12 @@ def test_probe_counterexample_none():
     assert result.is_none_up_to
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_probe_rejects_k_below_2(k):
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        hadamard_mahler_probe(expand_named("H", 32), parse_rational("1/(1-q)"), k, 32, 1, 1)
+
+
 def test_probe_finds_H_equation():
     h = expand_named("H", 128)
     result = hadamard_mahler_probe(h, parse_rational("1/(1-q)"), 2, 128, 2, 1)

@@ -1,3 +1,4 @@
+import importlib.util
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from mahlerfold.poly import (
     parse_poly,
     parse_rational,
 )
+from mahlerfold.quadfield import GaussianRational, QuadNum, _Quadratic
+from mahlerfold.series import TruncatedSeries
 
 P = Polynomial
 
@@ -180,3 +183,117 @@ def test_parse_rational():
         parse_poly("1/(1-x)")
     with pytest.raises(ExprError, match="unexpected end of expression"):
         parse_rational("x^")
+
+
+# -- the one exact-element protocol -------------------------------------------
+
+
+def test_float_over_rational_function_is_type_error():
+    # a float does not embed, so both operand orders decline cleanly
+    with pytest.raises(TypeError):
+        2.5 / RationalFunction.x()
+    with pytest.raises(TypeError):
+        RationalFunction.x() / 2.5
+
+
+_RF = RationalFunction(P([1, 1]), P([1, 0, 1]))
+_P = P([1, 2, 3])
+_TS = TruncatedSeries([1, 2, 3, 4])
+
+
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        (2, P([0, 1]), P([2, -1])),
+        (Fraction(1, 3), P([0, 1]), P([Fraction(1, 3), -1])),
+        (_P, P([0, 1]), P([1, 1, 3])),
+        (2, _RF, RationalFunction(P([1, -1, 2]), P([1, 0, 1]))),
+        (Fraction(1, 3), _RF, RationalFunction(P([Fraction(-2, 3), -1, Fraction(1, 3)]), _RF.den)),
+        # Polynomial's coercion takes a RationalFunction for a constant coefficient
+        (_P, _RF, P([RationalFunction(P([0, -1, 1]), P([1, 0, 1])), 2, 3])),
+        (2, _TS, TruncatedSeries([1, -2, -3, -4])),
+        (Fraction(1, 3), _TS, TruncatedSeries([Fraction(-2, 3), -2, -3, -4])),
+        (_P, _TS, TruncatedSeries([0, 0, 0, -4])),
+        (2, QuadNum(1, 2), QuadNum(1, -2)),
+        (Fraction(1, 3), QuadNum(1, 2), QuadNum(Fraction(-2, 3), -2)),
+        (_P, QuadNum(1, 2), P([QuadNum(0, -2), 2, 3])),
+        (2, GaussianRational(3, 4), GaussianRational(-1, -4)),
+        (Fraction(1, 3), GaussianRational(3, 4), GaussianRational(Fraction(-8, 3), -4)),
+        (_P, GaussianRational(3, 4), P([GaussianRational(-2, -4), 2, 3])),
+    ],
+)
+def test_reflected_subtraction(left, right, expected):
+    result = left - right
+    assert type(result) is type(expected) and result == expected
+
+
+def test_subtraction_and_immutability_live_on_exact_base():
+    classes = (P, RationalFunction, TruncatedSeries, _Quadratic, QuadNum, GaussianRational)
+    for cls in classes:
+        assert issubclass(cls, poly._Exact)
+        assert not {"__sub__", "__rsub__", "__setattr__"} & set(vars(cls))
+    for value in (P([1]), RationalFunction.x(), TruncatedSeries([1, 2])):
+        with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+            value.order = 3
+
+
+def test_power_is_square_and_multiply():
+    x = P([0, 1])
+    assert (x + 1) ** 5 == P([1, 5, 10, 10, 5, 1])
+    assert (x + 1) ** 0 == P.one()
+    assert poly._power(Fraction(2, 3), 10, 1) == Fraction(2**10, 3**10)
+    with pytest.raises(ValueError):
+        x ** -1
+
+
+# -- Polynomial.gcd against sympy ----------------------------------------------
+
+
+_needs_sympy = pytest.mark.skipif(
+    importlib.util.find_spec("sympy") is None, reason="sympy is not installed"
+)
+
+
+def _sympy_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The monic gcd over Q from sympy."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    pa, pb = (sympy.Poly(list(reversed(p.coeffs)) or [0], x, domain="QQ") for p in (a, b))
+    return P([Fraction(int(c.p), int(c.q)) for c in reversed(pa.gcd(pb).all_coeffs())])
+
+
+_gcd_ints = st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=14)
+_gcd_fracs = st.lists(st.fractions(-20, 20, max_denominator=50), min_size=1, max_size=10)
+
+
+@_needs_sympy
+@given(_gcd_ints, _gcd_ints)
+@settings(max_examples=80, deadline=None)
+def test_gcd_matches_sympy_coprime(a, b):
+    # random integer polynomials are almost always coprime: the mod-p shortcut
+    pa, pb = P(a), P(b)
+    if pa or pb:
+        assert pa.gcd(pb) == _sympy_gcd(pa, pb)
+
+
+@_needs_sympy
+@given(_gcd_ints, _gcd_ints, st.lists(st.integers(-9, 9), min_size=2, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_gcd_matches_sympy_shared_factor(a, b, c):
+    # a common factor of degree >= 1 defeats the shortcut: the PRS path
+    pa, pb, pc = P(a), P(b), P(c)
+    if pc.degree < 1 or not pa or not pb:
+        return
+    g = (pa * pc).gcd(pb * pc)
+    assert g.degree >= 1
+    assert g == _sympy_gcd(pa * pc, pb * pc)
+
+
+@_needs_sympy
+@given(_gcd_fracs, _gcd_fracs, _gcd_fracs)
+@settings(max_examples=80, deadline=None)
+def test_gcd_matches_sympy_fractions(a, b, c):
+    pa, pb, pc = P(a), P(b), P(c)
+    if pc and (pa or pb):
+        assert (pa * pc).gcd(pb * pc) == _sympy_gcd(pa * pc, pb * pc)
