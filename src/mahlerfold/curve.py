@@ -1,67 +1,63 @@
 """Turn-sequence geometry: sign words as lattice paths, crossing tests, SVG.
 
-Convention: the path starts at the origin heading +x and draws one unit edge
-before reading any sign; +1 turns left, -1 turns right.  Flipping the
-convention reflects everything across the x-axis, so crossing verdicts are
-convention independent.
+A path keeps only its sign word; ``LatticePath.vertices()`` walks that word
+whenever vertices are needed.  Convention: the path starts at the origin
+heading +x and draws one unit edge before reading any sign; +1 turns left,
+anything else turns right.  Negating the word reflects the path across the
+x-axis, so crossing verdicts do not depend on the convention.
 """
 
 from __future__ import annotations
 
 import colorsys
 from dataclasses import dataclass
+from itertools import pairwise
+
+# unit steps in counter-clockwise order: a left turn is +1, a right turn -1
+_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 @dataclass(frozen=True)
 class LatticePath:
-    vertices: tuple[tuple[int, int], ...]
+    word: tuple
 
     @property
     def edge_count(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.word) + 1
 
-    def bounding_box(self) -> tuple[int, int, int, int]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+    def vertices(self):
+        """Yield the len(word) + 2 vertices in drawing order."""
+        x, y, d = 1, 0, 0
+        yield 0, 0
+        yield x, y
+        for s in self.word:
+            d = (d + 1) & 3 if s == 1 else (d - 1) & 3
+            dx, dy = _STEPS[d]
+            x += dx
+            y += dy
+            yield x, y
 
 
-_LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
-_RIGHT = {v: k for k, v in _LEFT.items()}
-
-
-def path_from_signs(word, left: int = 1) -> LatticePath:
-    """Lattice path with len(word)+1 unit edges; ``left`` picks which sign
-    turns left (the default +1 = left)."""
-    x, y = 0, 0
-    dx, dy = 1, 0
-    vertices = [(0, 0)]
-    x, y = x + dx, y + dy
-    vertices.append((x, y))
-    for s in word:
-        if s == left:
-            dx, dy = _LEFT[(dx, dy)]
-        else:
-            dx, dy = _RIGHT[(dx, dy)]
-        x, y = x + dx, y + dy
-        vertices.append((x, y))
-    return LatticePath(tuple(vertices))
+def path_from_signs(word) -> LatticePath:
+    """Lattice path with len(word)+1 unit edges."""
+    return LatticePath(tuple(word))
 
 
 def self_crossing(path: LatticePath) -> int | None:
     """Index of the first repeated undirected unit edge, or None.
 
     Vertices may repeat (corner touching); only a doubly-drawn segment
-    counts as a crossing.
+    counts as a crossing.  An edge is keyed by its doubled midpoint
+    (x0 + x1, y0 + y1), packed into one int; k exceeds twice every
+    |x0 + x1|, so the packing is injective.
     """
+    k = 4 * path.edge_count + 4
     seen = set()
-    prev = path.vertices[0]
-    for i, cur in enumerate(path.vertices[1:]):
-        edge = (prev, cur) if prev <= cur else (cur, prev)
-        if edge in seen:
+    for i, ((x0, y0), (x1, y1)) in enumerate(pairwise(path.vertices())):
+        key = x0 + x1 + (y0 + y1) * k
+        if key in seen:
             return i
-        seen.add(edge)
-        prev = cur
+        seen.add(key)
     return None
 
 
@@ -92,11 +88,8 @@ def export_svg(paths, stroke_width: int = 1, palette: str = "rainbow", scale: in
     if not paths:
         raise ValueError("nothing to render")
     color = PALETTES[palette]
-    boxes = [p.bounding_box() for p in paths]
-    minx = min(b[0] for b in boxes)
-    miny = min(b[1] for b in boxes)
-    maxx = max(b[2] for b in boxes)
-    maxy = max(b[3] for b in boxes)
+    xs, ys = zip(*(v for p in paths for v in p.vertices()))
+    minx, miny, maxx, maxy = min(xs), min(ys), max(xs), max(ys)
     pad = 1
     width = (maxx - minx + 2 * pad) * scale
     height = (maxy - miny + 2 * pad) * scale
@@ -115,8 +108,7 @@ def export_svg(paths, stroke_width: int = 1, palette: str = "rainbow", scale: in
     ]
     for path in paths:
         total = max(path.edge_count, 1)
-        prev = path.vertices[0]
-        for i, cur in enumerate(path.vertices[1:]):
+        for i, (prev, cur) in enumerate(pairwise(path.vertices())):
             c = color(i / total)
             lines.append(
                 f'<line x1="{sx(prev[0])}" y1="{sy(prev[1])}" '
@@ -124,6 +116,5 @@ def export_svg(paths, stroke_width: int = 1, palette: str = "rainbow", scale: in
                 f'stroke="{c}" stroke-width="{stroke_width * scale / 4:g}" '
                 f'stroke-linecap="square"/>'
             )
-            prev = cur
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

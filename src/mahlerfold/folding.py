@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from .contfrac import ContinuantMatrix, Word, _identity_like, euclid_cf, eval_irregular, IrregularCF
 from .linalg import solve
@@ -486,21 +486,12 @@ def tilde_transforms(order: int):
 @dataclass(frozen=True)
 class IJReport:
     order: int
-    eq1_zero: bool
-    eq2_zero: bool
-    iterated1_zero: bool
-    iterated2_zero: bool
-    coeff_range_ok: bool
+    # lowest index where a residual is nonzero or I/J leaves {0, ±1}
+    first_failure: int | None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.eq1_zero
-            and self.eq2_zero
-            and self.iterated1_zero
-            and self.iterated2_zero
-            and self.coeff_range_ok
-        )
+        return self.first_failure is None
 
 
 def ij_series(order: int):
@@ -531,15 +522,9 @@ def ij_system_check(order: int) -> IJReport:
     eq2 = j_s - (i_s.substitute_power(2) - g6.shift(5))
     it1 = i_s - (i_s.substitute_power(4) + g6.shift(1) - g12.shift(10))
     it2 = j_s - (j_s.substitute_power(4) - g6.shift(5) + g12.shift(2))
-    coeff_ok = set(i_s.coeffs) <= {0, 1, -1} and set(j_s.coeffs) <= {0, 1, -1}
-    return IJReport(
-        order,
-        eq1.is_zero(),
-        eq2.is_zero(),
-        it1.is_zero(),
-        it2.is_zero(),
-        coeff_ok,
-    )
+    nonzero = (i for r in (eq1, eq2, it1, it2) for i, c in enumerate(r.coeffs) if c)
+    out_of_range = (i for s in (i_s, j_s) for i, c in enumerate(s.coeffs) if c not in (0, 1, -1))
+    return IJReport(order, min(chain(nonzero, out_of_range), default=None))
 
 
 def signed_even_subword(word: list[int]) -> list[int]:

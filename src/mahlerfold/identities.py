@@ -164,6 +164,11 @@ def _check_fg_mahler(order: int) -> IdentityReport:
     return IdentityReport("fg-mahler", first is None, first, order)
 
 
+def _check_ij_system(order: int) -> IdentityReport:
+    bad = folding.ij_system_check(order).first_failure
+    return IdentityReport("ij-system", bad is None, bad, order)
+
+
 def _check_e_words(_max_level: int) -> IdentityReport:
     """w_n = -e_(n+1) for even n and [1, w_n] = e_(n+1) for odd n, n <= 8."""
     def holds(n: int) -> bool:
@@ -201,7 +206,7 @@ FOLD_CHECKS: dict[str, Identity] = _table(
     ("fg-mahler", "Mahler equations of rho's word generating functions F, G",
      "series", _check_fg_mahler),
     ("ij-system", "I(x) = J(x^2) + x/(1+x^6), J(x) = I(x^2) - x^5/(1+x^6)", "series",
-     lambda N: IdentityReport("ij-system", folding.ij_system_check(N).ok, None, N)),
+     _check_ij_system),
     ("e-words", "w_n = -e_(n+1) (n even), [1, w_n] = e_(n+1) (n odd), n <= 8",
      "fold", _check_e_words),
 )

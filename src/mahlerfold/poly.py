@@ -95,13 +95,15 @@ def _coerced(op):
 
 
 def _power(base, n: int, one):
-    """base^n for n >= 0 by square-and-multiply, starting from ``one``."""
-    result = one
-    while n:
-        if n & 1:
+    """base^n for n >= 0 by square-and-multiply over the bits of n, top
+    down; ``one`` is the value for n = 0."""
+    if not n:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        base = base * base
-        n >>= 1
     return result
 
 
@@ -418,7 +420,7 @@ def _is_scalar(v) -> bool:
     return (
         hasattr(v, "__mul__")
         and not hasattr(v, "coeffs")
-        and not isinstance(v, (Polynomial, list, tuple, str))
+        and not isinstance(v, (Polynomial, RationalFunction, list, tuple, str))
     )
 
 

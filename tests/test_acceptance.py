@@ -5,6 +5,8 @@ lines; every tolerance is pinned here, nothing is deferred.
 """
 
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -234,6 +236,34 @@ def test_criterion_07_curves():
         assert svg1 == fh.read()
     _verdict(7, "dragon <= 17 and rho <= 16 non-crossing, cubic crosses by 8, SVG stable",
              t0, bound=30.0)
+
+
+# Starts argv[1:], reaps it with os.wait4 and prints its exit code and peak
+# RSS in KiB.  Linux carries the forking process's peak RSS into the child at
+# exec, so the CLI is started from this small interpreter, not from pytest.
+_PEAK_RSS_HELPER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB on Linux")
+def test_curve_check_memory_guard():
+    # dragon n = 20 (2^20 edges) measured 262-270 MB peak RSS when the path held
+    # a vertex tuple and crossing used a set of edge tuples, and 113 MB with
+    # the word-only walk and int edge keys (2 vCPUs, Python 3.11)
+    t0 = time.monotonic()
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    cli = [sys.executable, "-m", "mahlerfold.cli", "--json", "curve", "check",
+           "--spec", "dragon", "--n", "20"]
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_HELPER, *cli], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, peak_kib = map(int, out.split())
+    assert code == 0
+    assert peak_kib / 1024 < 160
+    _verdict(7, f"dragon n = 20 curve check peaks at {peak_kib / 1024:.0f} MB [< 160 MB]", t0)
 
 
 def test_criterion_08_roots_of_unity():

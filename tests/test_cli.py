@@ -459,6 +459,25 @@ def test_failing_fold_check_reports_first_level(capsys, monkeypatch):
     assert out == "id: rho-theorem\nstatus: FAIL\ndetail: n <= 10; first failure at 3\n"
 
 
+def test_failing_ij_system_reports_first_index(capsys, monkeypatch):
+    # I's coefficient at x^7 corrupted: the I/J system first fails at index 7
+    from mahlerfold import folding
+    from mahlerfold.series import TruncatedSeries
+
+    ij_series = folding.ij_series
+
+    def corrupted(order):
+        i_s, j_s = ij_series(order)
+        coeffs = list(i_s.coeffs)
+        coeffs[7] += 2
+        return TruncatedSeries(coeffs, i_s.order), j_s
+
+    monkeypatch.setattr(folding, "ij_series", corrupted)
+    code, out = run(capsys, "verify", "--id", "ij-system")
+    assert code == 1
+    assert "FAIL  ij-system" in out and "; first failure at 7 (" in out
+
+
 def test_bad_input_process_exit_code():
     # the exit status and stderr of a real process, not just main's return value
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}

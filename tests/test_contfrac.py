@@ -1,3 +1,4 @@
+import importlib.util
 from fractions import Fraction
 
 import mpmath as mp
@@ -357,6 +358,38 @@ def test_euclid_roundtrip(num, den):
     assert mat.ratio() == f
     for q in word.entries:
         assert q.degree >= 1
+
+
+# -- euclid_cf against sympy ---------------------------------------------------
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy is not installed")
+@given(st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=7),
+       st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=7),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_euclid_matches_sympy(num, den, common):
+    # a common factor makes the input unreduced; Euclid's quotients ignore it
+    import sympy
+
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p.coeffs)) or [0], x, domain="QQ")
+
+    pnum, pden = P(num) * P(common), P(den) * P(common)
+    if pden.is_zero():
+        return
+    word = euclid_cf(RationalFunction(pnum, pden))
+    a, b = to_sympy(pnum), to_sympy(pden)
+    quotients = []
+    while not b.is_zero:
+        q, r = a.div(b)
+        quotients.append(q)
+        a, b = b, r
+    assert [to_sympy(q) for q in (word.head, *word.entries)] == quotients
+    mat = continuants(word)
+    assert to_sympy(mat.p) * to_sympy(pden) == to_sympy(mat.q) * to_sympy(pnum)
 
 
 # -- limit classification ----------------------------------------------------

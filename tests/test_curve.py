@@ -1,19 +1,102 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mahlerfold.curve import LatticePath, export_svg, path_from_signs, self_crossing
-from mahlerfold.folding import iterate_fold
+from mahlerfold.curve import export_svg, path_from_signs, self_crossing
+from mahlerfold.folding import NAMED_SPECS, iterate_fold, parse_fold_spec, word_lengths
+
+# -- reference: the vertex-tuple walk and the set-of-edge-tuples check ---------
+
+_LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
+_RIGHT = {v: k for k, v in _LEFT.items()}
+
+
+def reference_vertices(word) -> tuple:
+    """Vertices of the path: one step east, then +1 turns left and any other
+    letter turns right, each turn followed by one step."""
+    x, y = 1, 0
+    d = (1, 0)
+    vertices = [(0, 0), (x, y)]
+    for s in word:
+        d = _LEFT[d] if s == 1 else _RIGHT[d]
+        x, y = x + d[0], y + d[1]
+        vertices.append((x, y))
+    return tuple(vertices)
+
+
+def reference_crossing(vertices) -> int | None:
+    """Index of the first undirected edge drawn twice, or None."""
+    seen = set()
+    for i, (prev, cur) in enumerate(zip(vertices, vertices[1:])):
+        edge = (prev, cur) if prev <= cur else (cur, prev)
+        if edge in seen:
+            return i
+        seen.add(edge)
+    return None
+
+
+def assert_matches_reference(word):
+    for w in (list(word), [-s for s in word]):
+        path = path_from_signs(w)
+        vertices = reference_vertices(w)
+        assert tuple(path.vertices()) == vertices
+        assert path.edge_count == len(vertices) - 1
+        assert self_crossing(path) == reference_crossing(vertices)
+
+
+REFERENCE_LETTERS = 200_000
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SPECS))
+def test_walk_matches_reference_on_named_specs(name):
+    n = 0
+    while word_lengths(name, n)[-1] <= REFERENCE_LETTERS:
+        assert_matches_reference(iterate_fold(name, n))
+        n += 1
+    assert n >= 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-2, 2), max_size=300))
+def test_walk_matches_reference_on_random_words(word):
+    assert_matches_reference(word)
+
+
+_ITEMS = ("x", "-x", "s*x", "-s*x")
+
+
+@st.composite
+def dsl_specs(draw):
+    """DSL text: one or two short bases, constants and references with ~/-."""
+    bases = [
+        draw(st.lists(st.sampled_from("+-"), max_size=2))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    refs = st.builds(
+        lambda neg, rev, d: f"{neg}{rev}w{d}",
+        st.sampled_from(("", "-")), st.sampled_from(("", "~")), st.integers(1, len(bases)),
+    )
+    rule = draw(st.lists(st.one_of(st.sampled_from(_ITEMS), refs), min_size=1, max_size=5))
+    text = ",".join("[" + ",".join(b) + "]" for b in bases)
+    return f"bases:{text} ; rule: {', '.join(rule)}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(dsl_specs(), st.integers(0, 7))
+def test_walk_matches_reference_on_random_specs(text, n):
+    assert_matches_reference(iterate_fold(parse_fold_spec(text), n))
 
 
 def test_empty_word_single_edge():
     path = path_from_signs([])
-    assert path.vertices == ((0, 0), (1, 0))
+    assert tuple(path.vertices()) == ((0, 0), (1, 0))
     assert path.edge_count == 1
 
 
 def test_all_left_square():
     path = path_from_signs([1, 1, 1])
     assert path.edge_count == 4
-    assert path.vertices == ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
+    assert tuple(path.vertices()) == ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
     assert self_crossing(path) is None
 
 
@@ -21,15 +104,16 @@ def test_edge_count_matches_word():
     word = iterate_fold("dragon", 5)
     path = path_from_signs(word)
     assert path.edge_count == len(word) + 1
-    for (x0, y0), (x1, y1) in zip(path.vertices, path.vertices[1:]):
+    vertices = tuple(path.vertices())
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
         assert abs(x1 - x0) + abs(y1 - y0) == 1
 
 
 def test_convention_flip_reflects():
     word = iterate_fold("dragon", 6)
-    left = path_from_signs(word, left=1)
-    right = path_from_signs(word, left=-1)
-    assert right.vertices == tuple((x, -y) for x, y in left.vertices)
+    left = path_from_signs(word)
+    right = path_from_signs([-s for s in word])
+    assert tuple(right.vertices()) == tuple((x, -y) for x, y in left.vertices())
     assert (self_crossing(left) is None) == (self_crossing(right) is None)
 
 
@@ -45,7 +129,8 @@ def test_vertex_touch_is_not_crossing():
     word = iterate_fold("dragon", 8)
     path = path_from_signs(word)
     assert self_crossing(path) is None
-    assert len(set(path.vertices)) < len(path.vertices)
+    vertices = tuple(path.vertices())
+    assert len(set(vertices)) < len(vertices)
 
 
 def test_dragon_not_crossing_deep():
@@ -67,8 +152,10 @@ def test_cubic_curve_crosses():
 def test_crossing_invariant_under_translation():
     word = iterate_fold("cubic", 6)
     path = path_from_signs(word)
-    moved = LatticePath(tuple((x + 17, y - 4) for x, y in path.vertices))
-    assert (self_crossing(path) is None) == (self_crossing(moved) is None)
+    moved = tuple((x + 17, y - 4) for x, y in path.vertices())
+    hit = self_crossing(path)
+    assert hit is not None
+    assert reference_crossing(moved) == hit
 
 
 def test_svg_deterministic_and_counts():

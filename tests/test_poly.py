@@ -209,8 +209,8 @@ _TS = TruncatedSeries([1, 2, 3, 4])
         (_P, P([0, 1]), P([1, 1, 3])),
         (2, _RF, RationalFunction(P([1, -1, 2]), P([1, 0, 1]))),
         (Fraction(1, 3), _RF, RationalFunction(P([Fraction(-2, 3), -1, Fraction(1, 3)]), _RF.den)),
-        # Polynomial's coercion takes a RationalFunction for a constant coefficient
-        (_P, _RF, P([RationalFunction(P([0, -1, 1]), P([1, 0, 1])), 2, 3])),
+        # Polynomial's coercion declines a RationalFunction, so its reflected method runs
+        (_P, _RF, RationalFunction(P([0, 1, 4, 2, 3]), P([1, 0, 1]))),
         (2, _TS, TruncatedSeries([1, -2, -3, -4])),
         (Fraction(1, 3), _TS, TruncatedSeries([Fraction(-2, 3), -2, -3, -4])),
         (_P, _TS, TruncatedSeries([0, 0, 0, -4])),
@@ -246,6 +246,24 @@ def test_power_is_square_and_multiply():
         x ** -1
 
 
+class _Counted:
+    """A ring element that records each product it takes part in."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __mul__(self, other):
+        self.log.append(other)
+        return self
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3)])
+def test_power_makes_fewest_products(n, products):
+    log = []
+    poly._power(_Counted(log), n, _Counted(log))
+    assert len(log) == products
+
+
 # -- Polynomial.gcd against sympy ----------------------------------------------
 
 
@@ -254,13 +272,19 @@ _needs_sympy = pytest.mark.skipif(
 )
 
 
-def _sympy_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """The monic gcd over Q from sympy."""
+def _to_sympy(p: Polynomial):
     import sympy
 
-    x = sympy.Symbol("x")
-    pa, pb = (sympy.Poly(list(reversed(p.coeffs)) or [0], x, domain="QQ") for p in (a, b))
-    return P([Fraction(int(c.p), int(c.q)) for c in reversed(pa.gcd(pb).all_coeffs())])
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(p) -> Polynomial:
+    return P([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
+
+
+def _sympy_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The monic gcd over Q from sympy."""
+    return _from_sympy(_to_sympy(a).gcd(_to_sympy(b)))
 
 
 _gcd_ints = st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=14)
@@ -297,3 +321,20 @@ def test_gcd_matches_sympy_fractions(a, b, c):
     pa, pb, pc = P(a), P(b), P(c)
     if pc and (pa or pb):
         assert (pa * pc).gcd(pb * pc) == _sympy_gcd(pa * pc, pb * pc)
+
+
+@_needs_sympy
+@given(_gcd_fracs, _gcd_fracs, _gcd_fracs)
+@settings(max_examples=80, deadline=None)
+def test_rational_function_reduction_matches_sympy(a, b, c):
+    # num/den in lowest terms with monic den, equal to sympy's cancel of the input
+    import sympy
+
+    num, den = P(a) * P(c), P(b) * P(c)
+    if not den:
+        return
+    rf = RationalFunction(num, den)
+    assert sympy.gcd(_to_sympy(rf.num), _to_sympy(rf.den)) == 1
+    assert rf.den.coeffs[-1] == 1
+    cn, cd = _to_sympy(num).cancel(_to_sympy(den), include=True)
+    assert (rf.num, rf.den) == (_from_sympy(cn.quo_ground(cd.LC())), _from_sympy(cd.monic()))
