@@ -6,7 +6,7 @@ arithmetic operators: ``int``, ``fractions.Fraction``, ``QuadNum``,
 so that the heavily used {0,1}-polynomials stay fast; mixed int/Fraction
 arithmetic is exact either way.  Every product goes through ``_list_mul``:
 schoolbook for a short or non-int operand, else one signed Kronecker product
-(``_kronecker_mul``, one big-integer multiplication, ``array``-slot packing).
+(``_kronecker_mul``: one big-integer product, byte slots sized by Cauchy-Schwarz).
 
 ``_Exact``, ``_coerced`` and ``_power`` are the one arithmetic protocol of the
 exact element classes (here, in ``series`` and in ``quadfield``): a coerced
@@ -18,11 +18,13 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from operator import add, mul
 from typing import Iterable, Sequence
 
-_ORDER = sys.byteorder  # ``array`` slots are native-endian
-_SLOT_CODES = {array(c).itemsize: c for c in "bhiq"}  # signed slot width -> code
+_LITTLE = sys.byteorder == "little"  # slots are little-endian; else ``array`` byteswaps
+_SLOT_CODES = {array(c).itemsize: c for c in "bhiq"}  # signed item size -> code, ascending
+_SIGN_FILL = bytes(255 * (i >> 7) for i in range(256))  # top byte -> sign-extension byte
 
 
 def _strip(coeffs: list) -> tuple:
@@ -32,39 +34,63 @@ def _strip(coeffs: list) -> tuple:
     return tuple(coeffs[:n])
 
 
+def _slot_bytes(a: Sequence[int], b: Sequence[int]) -> int:
+    """Signed Kronecker slot width for a * b in bytes; 0 if a or b is zero."""
+    bound, short = isqrt(sum(map(mul, a, a)) * sum(map(mul, b, b))), min(len(a), len(b))
+    if len(a) + len(b) > 5 * short + 1:  # lopsided, so sqrt(len(a) * len(b)) > 2 * min(len)
+        bound = min(bound, short * max(map(abs, a)) * max(map(abs, b)))
+    return (bound.bit_length() + 8) // 8 if bound else 0  # plus a sign bit
+
+
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Multiply signed integer coefficient lists with one big-integer product.
 
-    Every coefficient, and every coefficient of the product (at most
-    min(len) * max|a| * max|b| in size), fits a two's-complement slot of w
-    bytes: the smallest of 1/2/4/8 (an ``array`` item, packed and unpacked at
-    C speed), else ceil(bits/8) with per-slot ``int.to_bytes``.  XOR with an
-    offset that sets the top bit of every slot, minus that offset, turns the
-    packed slots into sum a_i 2^(8wi); adding the offset to the product and
-    XOR-ing it again turns the result back into signed slots.
+    Every product and input coefficient is at most isqrt(sum a_i^2 * sum b_j^2)
+    in size (Cauchy-Schwarz; if lopsided, also min(len) * max|a| * max|b|), so
+    it fits a two's-complement slot of w bytes, the fewest that hold the bound
+    and a sign bit (``_slot_bytes``).  Up to w = 8 the slots go through the
+    smallest ``array`` item of c >= w bytes at C speed; if w < c, strided
+    slices keep the w low bytes of each item, and on unpacking
+    ``bytes.translate`` of each slot's top byte fills the c - w sign bytes.
+    Wider slots use per-slot ``to_bytes``.  XOR with an offset that sets the
+    top bit of every slot, minus that offset, turns the packed slots into
+    sum a_i 2^(8wi); adding the offset to the product and XOR-ing it again
+    turns the result back into signed slots.
     """
-    n = len(a) + len(b) - 1
-    ma, mb = max(max(a), -min(a)), max(max(b), -min(b))
-    if not ma or not mb:
+    n, w = len(a) + len(b) - 1, _slot_bytes(a, b)
+    if not w:
         return [0] * n
-    bits = (min(len(a), len(b)) * ma * mb).bit_length() + 1  # plus a sign bit
-    w = next((s for s in (1, 2, 4, 8) if 8 * s >= bits), (bits + 7) // 8)
-    code = _SLOT_CODES.get(w)
-    top = (1 << 8 * w - 1).to_bytes(w, _ORDER)
+    c = next((s for s in _SLOT_CODES if s >= w), 0)
+    top = (1 << 8 * w - 1).to_bytes(w, "little")
 
     def pack(p: Sequence[int]) -> int:
-        if code:
-            raw = array(code, p).tobytes()
+        if c:
+            items = array(_SLOT_CODES[c], p)
+            if not _LITTLE:
+                items.byteswap()
+            raw = items.tobytes()
+            if w < c:
+                wide, raw = raw, bytearray(w * len(p))
+                for j in range(w):
+                    raw[j::w] = wide[j::c]
         else:
-            raw = b"".join(c.to_bytes(w, _ORDER, signed=True) for c in p)
-        offset = int.from_bytes(top * len(p), _ORDER)
-        return (int.from_bytes(raw, _ORDER) ^ offset) - offset
+            raw = b"".join(v.to_bytes(w, "little", signed=True) for v in p)
+        offset = int.from_bytes(top * len(p), "little")
+        return (int.from_bytes(raw, "little") ^ offset) - offset
 
-    offset = int.from_bytes(top * n, _ORDER)
-    raw = ((pack(a) * pack(b) + offset) ^ offset).to_bytes(n * w, _ORDER)
-    if code:
-        return array(code, raw).tolist()
-    return [int.from_bytes(raw[i : i + w], _ORDER, signed=True) for i in range(0, n * w, w)]
+    offset = int.from_bytes(top * n, "little")
+    raw = ((pack(a) * pack(b) + offset) ^ offset).to_bytes(n * w, "little")
+    if not c:
+        return [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, n * w, w)]
+    if w < c:
+        narrow, raw = raw, bytearray(n * c)
+        sign = narrow[w - 1 :: w].translate(_SIGN_FILL)
+        for j in range(c):
+            raw[j::c] = narrow[j::w] if j < w else sign
+    items = array(_SLOT_CODES[c], raw)
+    if not _LITTLE:
+        items.byteswap()
+    return items.tolist()
 
 
 def _list_mul(a: Sequence, b: Sequence) -> list:
@@ -167,9 +193,7 @@ class Polynomial(_Exact):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return len(self.coeffs) == len(other.coeffs) and all(
-                a == b for a, b in zip(self.coeffs, other.coeffs)
-            )
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(other)
         return NotImplemented
@@ -179,10 +203,7 @@ class Polynomial(_Exact):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return Polynomial(out)
+        return Polynomial([*map(add, a, b), *a[len(b) :]])
 
     __radd__ = __add__
 
@@ -315,15 +336,9 @@ class Polynomial(_Exact):
 
     def is_integer(self) -> bool:
         """True when every coefficient is an integer (denominator 1)."""
-        for c in self.coeffs:
-            if type(c) is int:
-                continue
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    return False
-            else:
-                return False
-        return True
+        return all(
+            type(c) is int or isinstance(c, Fraction) and c.denominator == 1 for c in self.coeffs
+        )
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -344,9 +359,7 @@ def _to_int_coeffs(coeffs) -> list[int] | None:
         else:
             return None
     ints = [int(c * lcm) for c in coeffs]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
+    content = gcd(*ints)
     if content > 1:
         ints = [v // content for v in ints]
     return ints

@@ -1,4 +1,5 @@
 import importlib.util
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerfold import poly
+from mahlerfold.identities import FOLD_CHECKS
 from mahlerfold.poly import (
     ExprError,
     Polynomial,
@@ -107,8 +109,8 @@ def _convolution(a, b):
     return out
 
 
-# coefficients at and beside the 1/2/4/8-byte slot edges, and one far past them
-_EDGES = (2**7, 2**15, 2**31, 2**63 - 1, 2**63, 2**200)
+# coefficients at and beside the 1- to 8-byte slot edges, and one far past them
+_EDGES = (2**7, 2**15, 2**23, 2**31, 2**39, 2**47, 2**55, 2**63 - 1, 2**63, 2**200)
 _edge_ints = st.sampled_from(_EDGES).flatmap(lambda e: st.sampled_from([e, -e, e - 1, 1 - e]))
 _coeffs = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70), _edge_ints)
 # 9+ terms each, so both operands pass the schoolbook cutoff; some zero-tailed
@@ -125,11 +127,12 @@ def test_kronecker_matches_schoolbook(a, b):
     assert all(type(c) is int for c in out)
 
 
-@pytest.mark.parametrize("k", [7, 15, 31, 63, 200])
+@pytest.mark.parametrize("k", [7, 15, 23, 31, 39, 47, 55, 63, 200])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_kronecker_bounds_at_slot_edges(monkeypatch, k, sign):
-    # 16 * m * 1 is the coefficient bound; with equal terms the middle
-    # coefficient reaches it: 2^k - 16 still fits a k+1-bit slot, 2^k does not
+    # 16 * m * 1 is the coefficient bound (Cauchy-Schwarz is tight for equal
+    # terms) and the middle coefficient reaches it: 2^k - 16 still fits a
+    # k+1-bit slot, 2^k does not
     calls, kron = [], poly._kronecker_mul
     monkeypatch.setattr(poly, "_kronecker_mul", lambda a, b: calls.append(1) or kron(a, b))
     for m in (2 ** (k - 4) - 1, 2 ** (k - 4)):
@@ -138,6 +141,33 @@ def test_kronecker_bounds_at_slot_edges(monkeypatch, k, sign):
         assert list(out) == _convolution(a, b) and out[15] == sign * 16 * m
         assert all(type(c) is int for c in out)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("t", [2**15 - 1, 2**15])
+def test_kronecker_bound_tight_on_sparse_operands(t):
+    # a 0/1 list with t ones times its reversal: the middle coefficient is
+    # sum a_i^2 = t, exactly the Cauchy-Schwarz bound, on the 2/3-byte edge
+    ones = set(random.Random(t).sample(range(3 * t), t))
+    a = [int(i in ones) for i in range(3 * t)]
+    assert poly._slot_bytes(a, a[::-1]) == (2 if t < 2**15 else 3)
+    out = _list_mul(a, a[::-1])
+    assert out[len(a) - 1] == max(out) == t and min(out) == 0 and sum(out) == t * t
+
+
+def test_fold_deep_top_products_use_three_byte_slots(monkeypatch):
+    # the rho-theorem n = 16 check's largest products (about 21845 terms,
+    # 7-bit by 0/1 coefficients) have a 17-19-bit bound: 3-byte slots, where
+    # rounding up to an ``array`` item size would take 4
+    widths, slot_bytes = [], poly._slot_bytes
+
+    def spy(a, b):
+        widths.append((min(len(a), len(b)), slot_bytes(a, b)))
+        return widths[-1][1]
+
+    monkeypatch.setattr(poly, "_slot_bytes", spy)
+    assert FOLD_CHECKS["rho-theorem"].run(16).holds
+    top = [w for short, w in widths if short >= 21843]
+    assert len(top) == 8 and set(top) == {3}
 
 
 @given(
