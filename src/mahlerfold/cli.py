@@ -361,7 +361,7 @@ def cmd_fib(args) -> int:
         "delta": mp.nstr(delta, 8),
     }
     _emit(payload, args.json)
-    return 0
+    return 0 if result.within(args.bits) else 1
 
 
 # ---------------------------------------------------------------------------

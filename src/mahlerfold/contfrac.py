@@ -101,8 +101,6 @@ class ContinuantMatrix:
 
     def ratio(self):
         """p/q as an exact quotient (RationalFunction for polynomial entries)."""
-        if isinstance(self.p, Polynomial):
-            return RationalFunction(self.p, self.q)
         return _divide(self.p, self.q)
 
 
@@ -279,10 +277,7 @@ def _lambda(n: int, x, plus: bool, power) -> Word:
 
 def rho_rational(n: int) -> RationalFunction:
     """rho_n as a reduced rational function, equal to H_n(x)/H_{n-1}(x^2)."""
-    val = eval_irregular(rho_cf(n), RationalFunction.x())
-    if isinstance(val, Polynomial):
-        val = RationalFunction.from_poly(val)
-    return val
+    return eval_irregular(rho_cf(n), RationalFunction.x())
 
 
 # Exact values past 2^MAX_RESULT_BITS_LOG2 bits take from seconds to minutes to

@@ -153,6 +153,11 @@ class IdentityResult:
         with mp.workprec(precision):
             return abs((self.expected - self.computed).to_mp())
 
+    def within(self, bits: int) -> bool:
+        """|expected - computed| < 2^-bits, decided exactly."""
+        delta, eps = self.expected - self.computed, Fraction(1, 1 << bits)
+        return (eps - delta).sign() > 0 and (eps + delta).sign() > 0
+
 
 @dataclass(frozen=True)
 class CFRow:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import chain, count, islice
 
 from .contfrac import ContinuantMatrix, Word, _identity_like, euclid_cf, eval_irregular, IrregularCF
-from .linalg import solve
 from .poly import Polynomial, RationalFunction
 from .series import TruncatedSeries
 
@@ -561,12 +560,15 @@ SPECIAL_FULL_LETTERS = 4096
 def special_recursion_polys(spec) -> tuple[Polynomial, Polynomial]:
     """P, Q in Z[y] with p_n = p~ P(x p~) and q_n = q~ P(x p~) + Q(x p~).
 
-    p~, q~ are the previous level's continuants.  The continuant sequence is
-    sign-normalized (a global sign per level) so that P's leading coefficient
-    is positive.  The relations are verified exactly over Q[x] at levels 2..4;
-    a level longer than SPECIAL_FULL_LETTERS (4096) letters is instead
-    checked at the integer points x = 2 and x = 3 and as a series prefix to
-    order 64.
+    p~, q~ are the previous level's continuants.  P and Q are read off level
+    2 as base-(x p~) expansions (``_solve_in_powers``).  Negating every
+    level's continuants (a global sign) maps P(y), Q(y) to P(-y), Q(-y), so
+    the pair is normalized by y -> -y to make P's leading coefficient
+    positive; a P of even degree with a negative leading coefficient has no
+    such normalization and is refused.  The relations are verified exactly over
+    Q[x] at levels 2..4; a level longer than SPECIAL_FULL_LETTERS (4096)
+    letters is instead checked at the integer points x = 2 and x = 3 and as
+    a series prefix to order 64.
     """
     spec = resolve_spec(spec)
     if not _is_special(spec):
@@ -581,67 +583,41 @@ def special_recursion_polys(spec) -> tuple[Polynomial, Polynomial]:
         for e in ([engine] if lengths[n] <= SPECIAL_FULL_LETTERS else light)
     ]
     mat, prev = engine.matrix(2), engine.matrix(1)
-    for sigma in (1, -1):
-        base = prev.p * sigma
-        arg = Polynomial.x() * base
-        P = _solve_in_powers(mat.p * sigma, base, arg, r - 1)
-        if P is None or (P.coeffs and P.coeffs[-1] < 0):
-            continue
-        Q = _solve_in_powers(mat.q - prev.q * P(arg), Polynomial.one(), arg, r - 2)
-        if Q is not None and all(_special_holds(e, n, P, Q, sigma) for e, n in checks):
-            return P, Q
-    raise NotSpecialError("could not solve for P, Q with a consistent sign")
+    arg = _X * prev.p
+    P = _solve_in_powers(mat.p, prev.p, arg, r - 1)
+    Q = None if P is None else _solve_in_powers(mat.q - prev.q * P(arg), _ONE, arg, r - 2)
+    if (
+        Q is None
+        or (P.coeffs[-1] < 0 and P.degree % 2 == 0)
+        or not all(_special_holds(e, n, P, Q) for e, n in checks)
+    ):
+        raise NotSpecialError("could not solve for P, Q with a consistent sign")
+    return (P(-_X), Q(-_X)) if P.coeffs[-1] < 0 else (P, Q)
 
 
-def _special_holds(engine: FoldEngine, n: int, P: Polynomial, Q: Polynomial, sigma: int) -> bool:
+def _special_holds(engine: FoldEngine, n: int, P: Polynomial, Q: Polynomial) -> bool:
     """The special relations between levels n-1 and n in the engine's ring."""
     mat, prev = engine.matrix(n), engine.matrix(n - 1)
-    base = prev.p * sigma
-    arg = engine.x * base
+    arg = engine.x * prev.p
     at = P(arg)
-    return mat.p * sigma == base * at and mat.q == prev.q * at + Q(arg)
+    return mat.p == prev.p * at and mat.q == prev.q * at + Q(arg)
 
 
 def _solve_in_powers(target: Polynomial, factor: Polynomial, arg: Polynomial, deg: int):
-    """The P of degree <= deg with target = factor * P(arg), or None."""
-    cols = [factor]
-    for _ in range(deg):
-        cols.append(cols[-1] * arg)
-    coeffs = _linear_solve(cols, target)
-    return None if coeffs is None else Polynomial(coeffs)
+    """The P of degree <= deg with target = factor * P(arg), or None.
 
-
-def _linear_solve(cols: list[Polynomial], rhs: Polynomial):
-    """Solve sum c_i cols[i] = rhs exactly; None when inconsistent.
-
-    The row count equals the polynomial height, which dwarfs the column
-    count, so a leading row block is solved first and the candidate verified
-    against the full polynomial identity; only on failure does the dense
-    system run.
+    arg(0) = 0, so the powers of arg have distinct valuations and
+    target / factor has at most one base-arg expansion: its digits are the
+    constant terms left by exact division by arg, one digit at a time.
     """
-    full = max([rhs.degree] + [c.degree for c in cols]) + 1
-    if full <= 0:
-        return [0] * len(cols)
-    block = 4 * len(cols) + 4
-    if block < full:
-        candidate = _linear_solve_rows(cols, rhs, block)
-        if candidate is not None:
-            return candidate
-    return _linear_solve_rows(cols, rhs, full)
-
-
-def _linear_solve_rows(cols: list[Polynomial], rhs: Polynomial, height: int):
-    a = [[col.coeff(row) for col in cols] for row in range(height)]
-    solution = solve(a, [rhs.coeff(row) for row in range(height)], len(cols))
-    if solution is None:
-        return None
-    # verify (guards the no-pivot-column case)
-    total = Polynomial.zero()
-    for c, col in zip(solution, cols):
-        total = total + col * c
-    if total != rhs:
-        return None
-    return solution
+    rest, rem = divmod(target, factor)
+    digits = []
+    for _ in range(deg + 1):
+        if rem:
+            return None
+        digits.append(rest.coeff(0))
+        rest, rem = divmod(rest - digits[-1], arg)
+    return None if rem or rest else Polynomial(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +668,7 @@ def specializable_iterated(
             value = eval_irregular(
                 IrregularCF(Polynomial.x(), pairs), RationalFunction.x()
             )
-        word = euclid_cf(value if isinstance(value, RationalFunction) else RationalFunction.from_poly(value))
+        word = euclid_cf(value)
         for sym in word.symbols():
             if not sym.is_integer():
                 return SpecializableReport(mode, False, n_max, fails_at=n, witness=sym)

@@ -1,5 +1,5 @@
-"""Exact linear algebra over Q: one Gauss-Jordan elimination and the rank,
-solve and null-vector queries built on it.
+"""Exact linear algebra over Q: one Gauss-Jordan elimination and the rank
+and null-vector queries built on it.
 
 Matrices are lists of rows whose entries are ``int`` or ``Fraction``; every
 routine that eliminates reduces the rows it is given in place.
@@ -82,25 +82,6 @@ def _rank_mod_p(rows: list[list], ncols: int) -> int | None:
 def rank(rows: list[list], ncols: int) -> int:
     """Rank over Q of the matrix ``rows`` with ``ncols`` columns."""
     return len(rref(rows, ncols))
-
-
-def solve(rows: list[list], rhs: list, ncols: int) -> list | None:
-    """One x with rows . x = rhs (free unknowns 0), or None when inconsistent.
-
-    The rhs is appended to the rows as an extra column; a pivot in that
-    column is a row 0 = nonzero.
-    """
-    for row, b in zip(rows, rhs):
-        row.append(b)
-    pivots = rref(rows, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for col, row in pivots.items():
-        # the pivot is 1, but elimination can leave Fraction(n, 1) entries;
-        # the division returns those as int
-        x[col] = _exact_div(row[ncols], row[col])
-    return x
 
 
 def first_null_vector(rows: list[list], ncols: int) -> list[int] | None:

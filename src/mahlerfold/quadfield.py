@@ -142,7 +142,15 @@ class QuadNum(_Quadratic):
         s5 = mp.sqrt(5)
         if isinstance(self.a, GaussianRational):
             return self.a.to_mpc() + self.b.to_mpc() * s5
+        if self.a * self.b < 0:  # a + b*sqrt5 = norm / conjugate, with no cancellation
+            return _mpf(self.norm()) / (_mpf(self.a) - _mpf(self.b) * s5)
         return _mpf(self.a) + _mpf(self.b) * s5
+
+    def sign(self) -> int:
+        """-1, 0 or 1, exactly (rational components): a + b*sqrt5 has the
+        sign of a when a^2 > 5 b^2, else that of b."""
+        lead = self.a if self.a * self.a > 5 * self.b * self.b else self.b
+        return (lead > 0) - (lead < 0)
 
     def __repr__(self):
         return f"QuadNum({self.a!r}, {self.b!r})"

@@ -267,9 +267,8 @@ def truncated_partial(name: str, n: int) -> Polynomial:
 class MahlerEquation:
     """A(q) + A_0(q) f(q) + A_1(q) f(q^k) + ... + A_d(q) f(q^(k^d)) = 0.
 
-    ``normalization`` pins the solution when the equation leaves f(0) (or the
-    first nonzero coefficient) free: either a bare value meaning f(0), or an
-    (index, value) pair.
+    ``normalization``, when not None, is the value of f(0): it pins the
+    solution when the equation leaves f(0) free.
     """
 
     k: int
@@ -287,13 +286,6 @@ class MahlerEquation:
     @property
     def depth(self) -> int:
         return len(self.coeffs) - 1
-
-    def normalization_pair(self):
-        if self.normalization is None:
-            return None
-        if isinstance(self.normalization, tuple):
-            return self.normalization
-        return (0, self.normalization)
 
     def residual(self, f: TruncatedSeries) -> TruncatedSeries:
         """A + sum A_i(q) f(q^(k^i)) truncated at f's order."""
@@ -328,7 +320,7 @@ def solve_mahler(eq: MahlerEquation, order: int) -> TruncatedSeries:
     if s < 0:
         raise MahlerSolveError("A_0 is zero; coefficients cannot be isolated", 0)
     k = eq.k
-    norm = eq.normalization_pair()
+    norm = eq.normalization
     x: list = [None] * (order + 1)
     n_known = 0  # all indices < n_known are determined
 
@@ -368,10 +360,8 @@ def solve_mahler(eq: MahlerEquation, order: int) -> TruncatedSeries:
                 raise MahlerSolveError(
                     f"inconsistent equation for coefficient {target}", target
                 )
-            if norm is not None and norm[0] == target:
-                x[target] = norm[1]
-            elif norm is not None and norm[0] > target:
-                x[target] = 0
+            if norm is not None and target == 0:
+                x[target] = norm
             else:
                 raise MahlerSolveError(
                     f"coefficient {target} is not determined by the equation "
@@ -380,9 +370,9 @@ def solve_mahler(eq: MahlerEquation, order: int) -> TruncatedSeries:
                 )
         else:
             value = _exact_div(-total, coef_target) if total else 0
-            if norm is not None and norm[0] == target and value != norm[1]:
+            if norm is not None and target == 0 and value != norm:
                 raise MahlerSolveError(
-                    f"normalization {norm[1]} contradicts forced value {value} "
+                    f"normalization {norm} contradicts forced value {value} "
                     f"at index {target}",
                     target,
                 )

@@ -203,10 +203,22 @@ def test_hadamard_probe_cli(capsys):
 
 
 def test_fib_identity_cli(capsys):
-    code, out = run(capsys, "--json", "fib", "identity", "--id", "good", "--terms", "8")
+    # 8 terms leave delta ~ 7e-54: within 2^-128, though not within 2^-256
+    code, out = run(capsys, "--json", "--bits", "128", "fib", "identity", "--id", "good",
+                    "--terms", "8")
     assert code == 0
     payload = json.loads(out)
     assert float(payload["delta"]) < 1e-30
+
+
+def test_fib_identity_fails_when_delta_passes_2_to_minus_bits(capsys):
+    # three terms of Good's sum leave delta ~ 0.05: a verification failure
+    code, out = run(capsys, "--json", "fib", "identity", "--id", "good", "--terms", "3")
+    assert code == 1
+    assert float(json.loads(out)["delta"]) > 0.04
+    # the verdict is |delta| < 2^-bits: 2^-5 < 0.0486 < 2^-4
+    assert main(["--bits", "5", "fib", "identity", "--id", "good", "--terms", "3"]) == 1
+    assert main(["--bits", "4", "fib", "identity", "--id", "good", "--terms", "3"]) == 0
 
 
 def test_fib_identity_table_row(capsys):

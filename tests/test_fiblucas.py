@@ -222,3 +222,16 @@ def test_run_identity_dispatch():
         assert result.delta_mp(256) < mp.mpf(10) ** -18
     with pytest.raises(ValueError):
         run_identity("nope", 8)
+
+
+@pytest.mark.parametrize("identity", IDENTITY_IDS)
+def test_delta_at_256_bits_is_the_true_delta(identity):
+    # a + b*sqrt5 with a, b of opposite signs embeds as norm / conjugate, so
+    # delta is not lost to cancellation at the default precision
+    result = run_identity(identity, 10)
+    true = result.delta_mp(4096)
+    assert true > 0
+    with mp.workprec(4096):
+        assert abs(result.delta_mp(256) - true) <= true * mp.mpf(10) ** -50
+    assert result.within(256)
+

@@ -489,7 +489,8 @@ def test_special_polys_degree_dominance():
 
 
 def test_special_polys_have_int_coefficients():
-    # the four-reference chain's elimination leaves Fraction(n, 1) entries
+    # exact division by the four-reference chain's p~ yields integral digits,
+    # which must come back as int, not Fraction(n, 1)
     chain4 = parse_fold_spec("bases:[] ; rule: w1, x, -~w1, x, w1, x, -~w1")
     for spec in ("dragon", chain4):
         p, q = special_recursion_polys(spec)
@@ -499,6 +500,102 @@ def test_special_polys_have_int_coefficients():
 def test_special_rejects_non_special():
     with pytest.raises(NotSpecialError):
         special_recursion_polys("cubic")
+
+
+# r = 2..7 references, four +-x constant patterns per r drawn with
+# random.Random(1): (constants, P, Q) as coefficient lists, with P = Q = None
+# where the spec is refused; recorded with a dense coefficient-column linear
+# solve over Q.
+SPECIAL_BATTERY = [
+    ("+", [0, 1], [1]),
+    ("+", [0, 1], [1]),
+    ("-", [0, 1], [1]),
+    ("+", [0, 1], [1]),
+    ("--", [1, 0, 1], [0, -1]),
+    ("--", [1, 0, 1], [0, -1]),
+    ("++", [1, 0, 1], [0, 1]),
+    ("-+", None, None),
+    ("--+", [0, 0, 0, 1], [1, 0, 1]),
+    ("--+", [0, 0, 0, 1], [1, 0, 1]),
+    ("+-+", [0, 2, 0, 1], [1, 0, 1]),
+    ("+++", [0, -2, 0, 1], [1, 0, -1]),
+    ("-+-+", [1, 0, -3, 0, 1], [0, 2, 0, -1]),
+    ("+--+", [1, 0, -1, 0, 1], [0, 0, 0, 1]),
+    ("-++-", [1, 0, -1, 0, 1], [0, 0, 0, -1]),
+    ("-+-+", [1, 0, -3, 0, 1], [0, 2, 0, -1]),
+    ("+-+--", [0, -1, 0, 2, 0, 1], [1, 0, -1, 0, -1]),
+    ("+----", [0, -1, 0, -2, 0, 1], [1, 0, -3, 0, 1]),
+    ("+-+--", [0, -1, 0, 2, 0, 1], [1, 0, -1, 0, -1]),
+    ("+--+-", [0, 1, 0, 2, 0, 1], [1, 0, -1, 0, -1]),
+    ("++---+", None, None),
+    ("-+--++", None, None),
+    ("++++--", [1, 0, 2, 0, 3, 0, 1], [0, 1, 0, 2, 0, 1]),
+    ("---+-+", [1, 0, -4, 0, -1, 0, 1], [0, 1, 0, 2, 0, -1]),
+]
+
+
+@pytest.mark.parametrize("consts, p, q", SPECIAL_BATTERY, ids=[c for c, _, _ in SPECIAL_BATTERY])
+def test_special_polys_battery(consts, p, q):
+    items = ["w1"]
+    for i, c in enumerate(consts, start=1):
+        items += ["x" if c == "+" else "-x", "-~w1" if i % 2 else "w1"]
+    spec = parse_fold_spec("bases:[] ; rule: " + ", ".join(items))
+    if p is None:
+        with pytest.raises(NotSpecialError, match="consistent sign"):
+            special_recursion_polys(spec)
+        return
+    got_p, got_q = special_recursion_polys(spec)
+    assert (list(got_p.coeffs), list(got_q.coeffs)) == (p, q)
+    assert all(type(c) is int for c in got_p.coeffs + got_q.coeffs)
+
+
+_small = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+
+
+def _polys(min_size, max_size):
+    return st.lists(_small, min_size=min_size, max_size=max_size).map(P)
+
+
+def _columns_oracle(target, factor, arg, deg):
+    """The unique P with target = factor * P(arg) from sympy's linsolve on the
+    coefficient columns of factor * arg^i, or None when it is inconsistent."""
+    sympy = pytest.importorskip("sympy")
+    cols = [factor]
+    for _ in range(deg):
+        cols.append(cols[-1] * arg)
+    height = max(c.degree for c in cols + [target]) + 1
+    a = sympy.Matrix([[sympy.Rational(col.coeff(i)) for col in cols] for i in range(height)])
+    b = sympy.Matrix([sympy.Rational(target.coeff(i)) for i in range(height)])
+    unknowns = sympy.symbols(f"c0:{deg + 1}")
+    solutions = sympy.linsolve((a, b), unknowns)
+    if not solutions:
+        return None
+    (solution,) = solutions
+    return P([Fraction(int(v.p), int(v.q)) for v in solution])
+
+
+@given(
+    _polys(0, 5),
+    st.integers(0, 4),
+    _polys(1, 4).filter(bool),
+    _polys(1, 3).filter(bool),
+    _polys(1, 6).filter(bool),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_solve_in_powers_reads_the_expansion(poly, deg, factor, base, noise, divisible):
+    arg = P.x() * base
+    got = folding._solve_in_powers(factor * poly(arg), factor, arg, deg)
+    if poly.degree > deg:
+        assert got is None
+    else:
+        assert got == poly
+        assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
+    # noise * factor keeps the first division exact, so later digits decide
+    perturbed = factor * (poly(arg) + noise) if divisible else factor * poly(arg) + noise
+    assert folding._solve_in_powers(perturbed, factor, arg, deg) == _columns_oracle(
+        perturbed, factor, arg, deg
+    )
 
 
 # -- Cohn specializability ----------------------------------------------------

@@ -8,6 +8,7 @@ themselves 2x2 blocks, which turns Q(i, sqrt5) into 4x4 rational matrices.
 
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,3 +181,25 @@ def test_embedded_scalars_hash_as_the_scalar(value, scalar):
 def test_irrational_values_stay_distinct_keys():
     keys = {QuadNum(1, 1), QuadNum(1, -1), GaussianRational(1, 1), 1}
     assert len(keys) == 4 and QuadNum(1) in keys and PHI * 2 in keys
+
+
+@given(rationals, rationals)
+@settings(max_examples=200, deadline=None)
+def test_sign_matches_numeric_value(a, b):
+    # a nonzero a + b*sqrt5 here is |a^2 - 5b^2| / |a - b*sqrt5| > 12^-4 / 65,
+    # far above the rounding error of 128-bit floats
+    u = QuadNum(a, b)
+    with mp.workprec(128):
+        value = mp.mpf(a.numerator) / a.denominator + mp.mpf(b.numerator) / b.denominator * mp.sqrt(5)
+    assert u.sign() == (0 if not u else mp.sign(value))
+    assert (-u).sign() == -u.sign()
+
+
+def test_sign_decides_near_cancellation():
+    # x^2 - 5 y^2 = 1 for (9 + 4 sqrt5)^40, so x - y sqrt5 = 1/(x + y sqrt5) ~ 7e-51
+    u = QuadNum(9, 4) ** 40
+    assert u.norm() == 1
+    assert QuadNum(u.a, -u.b).sign() == 1
+    assert QuadNum(u.a - Fraction(1, 10**51), -u.b).sign() == 1
+    assert QuadNum(u.a - Fraction(1, 10**50), -u.b).sign() == -1
+    assert QuadNum(-u.a, u.b).sign() == -1
