@@ -23,7 +23,7 @@ import mpmath as mp
 from . import contfrac, curve, fiblucas, folding, hadamard
 from .identities import FOLD_CHECKS, REGISTRY
 from .poly import RationalFunction, parse_poly, parse_rational
-from .series import TruncatedSeries, expand_named
+from .series import NAMED_SERIES, TruncatedSeries, expand_named
 
 SCHEMA = 1
 
@@ -286,7 +286,7 @@ def cmd_curve(args) -> int:
 
 def _series_from_spec(text: str, order: int) -> TruncatedSeries:
     """Named series (F/G/H/I), 'pow2' (sum of q^(2^n)), or a rational expr."""
-    if text in ("F", "G", "H", "I"):
+    if text in NAMED_SERIES:
         return expand_named(text, order)
     if text == "pow2":
         coeffs = [0] * (order + 1)
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kwargs)
 
     p = add_parser("expand", help="expand a named series")
-    p.add_argument("--name", required=True, choices=["F", "G", "H", "I"])
+    p.add_argument("--name", required=True, choices=NAMED_SERIES)
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=cmd_expand)
 
@@ -503,8 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError,
-            folding.DegreeCapExceeded, folding.StabilizationError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         if args.json:
             _emit({"error": str(exc)}, True)

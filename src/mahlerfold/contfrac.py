@@ -365,19 +365,18 @@ def _cauchy(vals, tol) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def rho_at_root_of_unity(n: int, a: int = 1, precision: int = 256, exact: bool = True):
+def rho_at_root_of_unity(n: int, a: int = 1, precision: int = 256):
     """rho at zeta = exp(2*pi*i*a/2^n) for odd a.
 
     Unwinds rho(x) = 1 + x/rho(x^2) n times until the argument is 1, closes
     with rho(1) = phi.  Exact in Q(sqrt5) for n <= 1, exact in Q(i, sqrt5)
-    for n = 2, numeric at the requested precision otherwise (or always, with
-    exact=False).
+    for n = 2, numeric at the requested precision otherwise.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > 0 and a % 2 == 0:
         raise ValueError("a must be odd (primitive root required)")
-    if exact and n <= 2:
+    if n <= 2:
         if n == 2:
             zeta = QuadNum(GaussianRational(0, 1 if a % 4 == 1 else -1), GaussianRational(0))
         else:

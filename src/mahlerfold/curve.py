@@ -77,7 +77,7 @@ def _two_tone(fraction: float) -> str:
 PALETTES = {"rainbow": _rainbow, "two-tone": _two_tone}
 
 
-def export_svg(paths, stroke_width: int = 1, palette: str = "rainbow", scale: int = 8) -> str:
+def export_svg(paths, palette: str = "rainbow") -> str:
     """Deterministic SVG: one <line> per unit edge, colored by arc length.
 
     ``paths`` may be a single LatticePath or a list (overlays share the
@@ -90,7 +90,7 @@ def export_svg(paths, stroke_width: int = 1, palette: str = "rainbow", scale: in
     color = PALETTES[palette]
     xs, ys = zip(*(v for p in paths for v in p.vertices()))
     minx, miny, maxx, maxy = min(xs), min(ys), max(xs), max(ys)
-    pad = 1
+    pad, scale = 1, 8  # scale: SVG units per lattice step
     width = (maxx - minx + 2 * pad) * scale
     height = (maxy - miny + 2 * pad) * scale
 
@@ -113,7 +113,7 @@ def export_svg(paths, stroke_width: int = 1, palette: str = "rainbow", scale: in
             lines.append(
                 f'<line x1="{sx(prev[0])}" y1="{sy(prev[1])}" '
                 f'x2="{sx(cur[0])}" y2="{sy(cur[1])}" '
-                f'stroke="{c}" stroke-width="{stroke_width * scale / 4:g}" '
+                f'stroke="{c}" stroke-width="{scale // 4}" '
                 f'stroke-linecap="square"/>'
             )
     lines.append("</svg>")

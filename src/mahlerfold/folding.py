@@ -409,21 +409,22 @@ def specialized_digits(spec, n: int, x_value: int, count: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-class StabilizationError(RuntimeError):
+class StabilizationError(ValueError):
     pass
 
 
 # A sign word is a Python list, 8 bytes a letter; iterate_fold and the walk
 # below refuse to build a longer word (64 MiB) rather than exhaust memory.
 MAX_SIGN_WORD_LETTERS = 1 << 23
+MAX_GF_LEVELS = 64
 
 
-def sign_generating_functions(spec, order: int, max_iter: int = 64):
+def sign_generating_functions(spec, order: int):
     """(even-limit, odd-limit) coefficient prefixes of the word sequence.
 
     Walks the levels until two successive words of each parity agree on the
     first order+1 letters and are long enough; raises StabilizationError
-    otherwise: after ``max_iter`` levels, or before building a word of more
+    otherwise: after MAX_GF_LEVELS levels, or before building a word of more
     than MAX_SIGN_WORD_LETTERS letters.
     """
     spec = resolve_spec(spec)
@@ -431,7 +432,7 @@ def sign_generating_functions(spec, order: int, max_iter: int = 64):
     prev: dict[int, list[int]] = {}
     stable: dict[int, list[int]] = {}
     words = _sign_words(spec)
-    for n, length in enumerate(word_lengths(spec, max_iter - 1)):
+    for n, length in enumerate(word_lengths(spec, MAX_GF_LEVELS - 1)):
         if length > MAX_SIGN_WORD_LETTERS:
             raise StabilizationError(
                 f"word prefixes did not stabilize to order {order} before word {n}, "
@@ -449,7 +450,7 @@ def sign_generating_functions(spec, order: int, max_iter: int = 64):
                 TruncatedSeries(stable[1], order),
             )
     raise StabilizationError(
-        f"word prefixes did not stabilize to order {order} within {max_iter} iterations"
+        f"word prefixes did not stabilize to order {order} within {MAX_GF_LEVELS} iterations"
     )
 
 
@@ -634,17 +635,17 @@ class SpecializableReport:
     witness: Polynomial | None = None
 
 
-class DegreeCapExceeded(RuntimeError):
-    def __init__(self, degree: int, cap: int):
-        super().__init__(f"iterated polynomial degree {degree} exceeds cap {cap}")
-        self.degree = degree
+class DegreeCapExceeded(ValueError):
+    pass
 
 
-def specializable_iterated(
-    f: Polynomial, mode: str, n_max: int, degree_cap: int = 4096
-) -> SpecializableReport:
+MAX_ITERATE_DEGREE = 4096
+
+
+def specializable_iterated(f: Polynomial, mode: str, n_max: int) -> SpecializableReport:
     """Check whether the CF of sum 1/f^m(x) (cohn_sum) or of the irregular
     x + f(x)/1 + f^2(x)/1 + ... (irregular) has all partial quotients in Z[x].
+    An iterate of degree over MAX_ITERATE_DEGREE is refused before it is built.
     """
     if f.degree < 2:
         raise ValueError("deg f must be >= 2")
@@ -654,10 +655,12 @@ def specializable_iterated(
         raise ValueError(f"unknown mode {mode!r}")
     iterates = [Polynomial.x()]
     for _ in range(n_max):
-        nxt = f(iterates[-1])
-        if nxt.degree > degree_cap:
-            raise DegreeCapExceeded(nxt.degree, degree_cap)
-        iterates.append(nxt)
+        degree = f.degree * iterates[-1].degree
+        if degree > MAX_ITERATE_DEGREE:
+            raise DegreeCapExceeded(
+                f"iterated polynomial degree {degree} exceeds cap {MAX_ITERATE_DEGREE}"
+            )
+        iterates.append(f(iterates[-1]))
     for n in range(1, n_max + 1):
         if mode == "cohn_sum":
             value = RationalFunction.constant(0)

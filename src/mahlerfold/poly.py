@@ -365,14 +365,12 @@ def _to_int_coeffs(coeffs) -> list[int] | None:
     return ints
 
 
-_GCD_PRIME = (1 << 31) - 1
-
-
-def _coprime_mod_p(a: list[int], b: list[int], p: int = _GCD_PRIME) -> bool:
+def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
     """True when gcd(a mod p, b mod p) is constant, which certifies
     gcd(a, b) = 1 over Q: the true gcd's leading coefficient divides lc(a)
     and lc(b) (Gauss), so as long as p misses one of those the modular gcd
     degree only ever overshoots."""
+    p = (1 << 31) - 1
     if a[-1] % p == 0 and b[-1] % p == 0:
         return False
     am = [c % p for c in a]
@@ -449,7 +447,7 @@ def _exact_div(a, b):
     return a / b
 
 
-def format_poly(p: Polynomial, var: str = "x") -> str:
+def format_poly(p: Polynomial) -> str:
     if not p.coeffs:
         return "0"
     parts = []
@@ -459,7 +457,7 @@ def format_poly(p: Polynomial, var: str = "x") -> str:
         if i == 0:
             parts.append(str(c))
         else:
-            xs = var if i == 1 else f"{var}^{i}"
+            xs = "x" if i == 1 else f"x^{i}"
             if c == 1:
                 parts.append(xs)
             elif c == -1:

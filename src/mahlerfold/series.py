@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .poly import Polynomial, RationalFunction, _coerced, _exact_div, _Exact, _list_mul, _strip
@@ -30,8 +31,7 @@ class TruncatedSeries(_Exact):
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
-        if len(coeffs) < order + 1:
-            coeffs += [0] * (order + 1 - len(coeffs))
+        coeffs += [0] * (order + 1 - len(coeffs))
         object.__setattr__(self, "coeffs", tuple(coeffs[: order + 1]))
         object.__setattr__(self, "order", order)
 
@@ -61,29 +61,20 @@ class TruncatedSeries(_Exact):
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
+        return hash((self.order, self.coeffs))
 
     def first_difference(self, other: TruncatedSeries) -> int | None:
-        n = min(self.order, other.order)
-        for i in range(n + 1):
-            if self.coeffs[i] != other.coeffs[i]:
-                return i
-        return None
+        return next((i for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)) if a != b), None)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     @_coerced
     def __add__(self, other) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n
-        )
+        return TruncatedSeries(map(add, self.coeffs, other.coeffs), min(self.order, other.order))
 
     __radd__ = __add__
 
@@ -168,6 +159,10 @@ class TruncatedSeries(_Exact):
 NAMED_SERIES = ("F", "G", "H", "I")
 
 
+# S(q) = q^e A(q^2) + q^(1-e) B(q^4) with S(0) = 1: name -> (e, A, B)
+_RULES = {"F": (0, "G", "F"), "G": (1, "F", "G"), "H": (0, "H", "H"), "I": (1, "I", "I")}
+
+
 def expand_named(name: str, order: int) -> TruncatedSeries:
     """Coefficients 0..order of F, G, H or I via the coefficient recursions.
 
@@ -175,42 +170,25 @@ def expand_named(name: str, order: int) -> TruncatedSeries:
 
         F(q) = G(q^2) + q F(q^4)      G(q) = q F(q^2) + G(q^4)
         H(q) = H(q^2) + q H(q^4)      I(q) = q I(q^2) + I(q^4)
+
+    one rule, tabled in ``_RULES``.  Index n >= 1 reads only indices <= n/2,
+    so block [lo, 2 lo) of each 0/1 bytearray (F and G together, H or I
+    alone) is filled in place from the blocks below by two slice copies.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if name in ("F", "G"):
-        a = [0] * (order + 1)
-        b = [0] * (order + 1)
-        a[0] = b[0] = 1
-        for n in range(1, order + 1):
-            if n % 2 == 0:
-                a[n] = b[n // 2]
-            elif n % 4 == 1:
-                a[n] = a[(n - 1) // 4]
-            if n % 2 == 1:
-                b[n] = a[(n - 1) // 2]
-            elif n % 4 == 0:
-                b[n] = b[n // 4]
-        return TruncatedSeries(a if name == "F" else b, order)
-    if name == "H":
-        c = [0] * (order + 1)
-        c[0] = 1
-        for n in range(1, order + 1):
-            if n % 2 == 0:
-                c[n] = c[n // 2]
-            elif n % 4 == 1:
-                c[n] = c[(n - 1) // 4]
-        return TruncatedSeries(c, order)
-    if name == "I":
-        d = [0] * (order + 1)
-        d[0] = 1
-        for n in range(1, order + 1):
-            if n % 2 == 1:
-                d[n] = d[(n - 1) // 2]
-            elif n % 4 == 0:
-                d[n] = d[n // 4]
-        return TruncatedSeries(d, order)
-    raise ValueError(f"unknown series {name!r}; expected one of {NAMED_SERIES}")
+    if name not in _RULES:
+        raise ValueError(f"unknown series {name!r}; expected one of {NAMED_SERIES}")
+    coeffs = {s: bytearray(b"\1").ljust(order + 1, b"\0") for s in (name, _RULES[name][1])}
+    lo = 1
+    while lo <= order:
+        hi = min(2 * lo, order + 1)
+        for s, out in coeffs.items():
+            e, a, b = _RULES[s]
+            p = lo + (e - lo) % 2  # first n >= lo with n = e (mod 2)
+            out[p:hi:2] = coeffs[a][(p - e) // 2 : (hi - e + 1) // 2]
+            q = lo + (1 - e - lo) % 4  # first n >= lo with n = 1 - e (mod 4)
+            out[q:hi:4] = coeffs[b][(q + e - 1) // 4 : (hi + e + 2) // 4]
+        lo = hi
+    return TruncatedSeries(coeffs[name], order)
 
 
 def fibbinary(n: int) -> int:
@@ -311,47 +289,36 @@ def solve_mahler(eq: MahlerEquation, order: int) -> TruncatedSeries:
     """Solve for the power-series prefix via the coefficient recursion.
 
     Comparing the coefficient of q^m on both sides of the equation and
-    isolating the highest-index unknown gives each x_n from lower ones.  The
+    isolating the highest-index unknown gives each x_n from lower ones; the
+    term c q^j of A_i touches x_((m-j)/k^i) at order m.  The
     equation is rejected (never guessed through) when a coefficient's
     multiplier vanishes or an equation refers to a not-yet-determined index.
     """
-    a0 = eq.coeffs[0]
-    s = a0.valuation()
+    s = eq.coeffs[0].valuation()
     if s < 0:
         raise MahlerSolveError("A_0 is zero; coefficients cannot be isolated", 0)
-    k = eq.k
     norm = eq.normalization
-    x: list = [None] * (order + 1)
-    n_known = 0  # all indices < n_known are determined
+    terms = [(eq.k**i, j, c) for i, a in enumerate(eq.coeffs) for j, c in enumerate(a.coeffs) if c]
+    x: list = []  # the determined prefix
 
     for m in range(order + s + 1):
         target = m - s
         total = eq.inhomogeneous.coeff(m)
         coef_target = 0
-        ok = True
-        for i, ai in enumerate(eq.coeffs):
-            if not ai:
+        for ki, j, c in terms:
+            r = m - j
+            if r < 0 or r % ki:
                 continue
-            ki = k**i
-            for j, aij in enumerate(ai.coeffs):
-                if not aij or j > m:
-                    continue
-                r = m - j
-                if r % ki:
-                    continue
-                idx = r // ki
-                if idx == target:
-                    coef_target = coef_target + aij
-                elif idx < n_known:
-                    if x[idx]:
-                        total = total + aij * x[idx]
-                else:
-                    ok = False
-        if not ok:
-            raise MahlerSolveError(
-                f"equation at order {m} references an undetermined coefficient", m
-            )
-        if target < 0 or target > order:
+            idx = r // ki
+            if idx == target:
+                coef_target = coef_target + c
+            elif idx > target:
+                raise MahlerSolveError(
+                    f"equation at order {m} references an undetermined coefficient", m
+                )
+            elif x[idx]:
+                total = total + c * x[idx]
+        if target < 0:
             if total != 0:
                 raise MahlerSolveError(f"inconsistent equation at order {m}", m)
             continue
@@ -361,7 +328,7 @@ def solve_mahler(eq: MahlerEquation, order: int) -> TruncatedSeries:
                     f"inconsistent equation for coefficient {target}", target
                 )
             if norm is not None and target == 0:
-                x[target] = norm
+                x.append(norm)
             else:
                 raise MahlerSolveError(
                     f"coefficient {target} is not determined by the equation "
@@ -376,8 +343,7 @@ def solve_mahler(eq: MahlerEquation, order: int) -> TruncatedSeries:
                     f"at index {target}",
                     target,
                 )
-            x[target] = value
-        n_known = target + 1
+            x.append(value)
 
     result = TruncatedSeries(x, order)
     if not eq.residual(result).is_zero():

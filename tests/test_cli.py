@@ -499,3 +499,18 @@ def test_bad_input_process_exit_code():
     )
     assert proc.returncode == 2
     assert proc.stderr == "mahlerfold: error: unexpected end of expression in 'x^'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fold", "check", "--id", "rho-theorem", "--n", "40"],
+     "rho-theorem at level 40 compares polynomials of 2^40 coefficients"),
+    (["fold", "cohn", "--poly", "x^4+1", "--mode", "sum", "--nmax", "8"],
+     "iterated polynomial degree 16384 exceeds cap 4096"),
+], ids=["rho-theorem-level", "cohn-degree"])
+def test_costly_requests_are_refused_before_the_work(argv, message):
+    # the refusal comes from a cost estimate, not after hours of work
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    proc = subprocess.run([sys.executable, "-m", "mahlerfold.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"mahlerfold: error: {message}")

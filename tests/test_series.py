@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -340,3 +341,169 @@ def test_short_factor_products_skip_kronecker(monkeypatch):
     eq = _eq(2, [P.one(), P([-1]), P([0, -1])], norm=1)
     assert solve_mahler(eq, 4096).coeffs == expand_named("H", 4096).coeffs
     assert verify_series_identity("mahler4-H", 4096).holds
+
+
+# -- the per-coefficient loops, kept as references for the block fill and the
+# -- term-list solver --------------------------------------------------------
+
+def _expand_named_loops(name, order):
+    """F, G, H, I coefficient by coefficient, one hand-written loop each."""
+    if name in ("F", "G"):
+        a = [0] * (order + 1)
+        b = [0] * (order + 1)
+        a[0] = b[0] = 1
+        for n in range(1, order + 1):
+            if n % 2 == 0:
+                a[n] = b[n // 2]
+            elif n % 4 == 1:
+                a[n] = a[(n - 1) // 4]
+            if n % 2 == 1:
+                b[n] = a[(n - 1) // 2]
+            elif n % 4 == 0:
+                b[n] = b[n // 4]
+        return a if name == "F" else b
+    c = [0] * (order + 1)
+    c[0] = 1
+    for n in range(1, order + 1):
+        if name == "H":
+            if n % 2 == 0:
+                c[n] = c[n // 2]
+            elif n % 4 == 1:
+                c[n] = c[(n - 1) // 4]
+        elif n % 2 == 1:
+            c[n] = c[(n - 1) // 2]
+        elif n % 4 == 0:
+            c[n] = c[n // 4]
+    return c
+
+
+def _assert_expands_like_loops(name, order):
+    got = expand_named(name, order)
+    want = _expand_named_loops(name, order)
+    assert got.order == order
+    assert list(got.coeffs) == want
+    assert all(type(c) is int for c in got.coeffs)
+
+
+@given(st.sampled_from("FGHI"), st.integers(0, 5000))
+@settings(max_examples=200, deadline=None)
+def test_expand_named_matches_loops(name, order):
+    _assert_expands_like_loops(name, order)
+
+
+def test_expand_named_matches_loops_at_block_edges():
+    # the block fill's slice bounds change at powers of two
+    for k in range(17):
+        for order in {(1 << k) - 1, 1 << k, (1 << k) + 1}:
+            for name in "FGHI":
+                _assert_expands_like_loops(name, order)
+
+
+def _solve_mahler_rescan(eq, order):
+    """The solver that rescans every coefficient of every A_i at each order,
+    tracking the determined prefix in a counter and a flag."""
+    from mahlerfold.poly import _exact_div
+
+    s = eq.coeffs[0].valuation()
+    if s < 0:
+        raise MahlerSolveError("A_0 is zero; coefficients cannot be isolated", 0)
+    k, norm = eq.k, eq.normalization
+    x = [None] * (order + 1)
+    n_known = 0
+    for m in range(order + s + 1):
+        target = m - s
+        total = eq.inhomogeneous.coeff(m)
+        coef_target = 0
+        ok = True
+        for i, ai in enumerate(eq.coeffs):
+            if not ai:
+                continue
+            ki = k**i
+            for j, aij in enumerate(ai.coeffs):
+                if not aij or j > m:
+                    continue
+                r = m - j
+                if r % ki:
+                    continue
+                idx = r // ki
+                if idx == target:
+                    coef_target = coef_target + aij
+                elif idx < n_known:
+                    if x[idx]:
+                        total = total + aij * x[idx]
+                else:
+                    ok = False
+        if not ok:
+            raise MahlerSolveError(
+                f"equation at order {m} references an undetermined coefficient", m
+            )
+        if target < 0 or target > order:
+            if total != 0:
+                raise MahlerSolveError(f"inconsistent equation at order {m}", m)
+            continue
+        if coef_target == 0:
+            if total != 0:
+                raise MahlerSolveError(f"inconsistent equation for coefficient {target}", target)
+            if norm is not None and target == 0:
+                x[target] = norm
+            else:
+                raise MahlerSolveError(
+                    f"coefficient {target} is not determined by the equation "
+                    "(supply a normalization)",
+                    target,
+                )
+        else:
+            value = _exact_div(-total, coef_target) if total else 0
+            if norm is not None and target == 0 and value != norm:
+                raise MahlerSolveError(
+                    f"normalization {norm} contradicts forced value {value} "
+                    f"at index {target}",
+                    target,
+                )
+            x[target] = value
+        n_known = target + 1
+    result = TS(x, order)
+    if not eq.residual(result).is_zero():
+        raise MahlerSolveError("re-substitution residual is nonzero", -1)
+    return result
+
+
+def _outcome(solve, eq, order):
+    try:
+        sol = solve(eq, order)
+    except MahlerSolveError as exc:
+        return "error", str(exc), exc.index
+    return "solution", sol.coeffs, tuple(map(type, sol.coeffs))
+
+
+def test_solve_mahler_matches_rescan_on_random_equations():
+    import random
+
+    rng = random.Random(14)
+    entries = (0, 0, 0, 1, -1, 2, Fraction(1, 2))
+    seen = set()
+    checked = 0
+    while checked < 2000:
+        depth = rng.randint(0, 2)
+        coeffs = [P([rng.choice(entries) for _ in range(rng.randint(0, 5))])
+                  for _ in range(depth + 1)]
+        if not any(coeffs):
+            continue
+        inhom = P([rng.choice((0, 0, 1, -1)) for _ in range(rng.randint(0, 5))])
+        norm = rng.choice((None, 0, 1, 2, Fraction(1, 3)))
+        eq = _eq(rng.choice((2, 3, 4)), coeffs, inhom=inhom, norm=norm)
+        order = rng.randint(0, 40)
+        want = _outcome(_solve_mahler_rescan, eq, order)
+        assert _outcome(solve_mahler, eq, order) == want
+        checked += 1
+        seen.add(re.sub(r"-?[\d/]+", "#", want[1]) if want[0] == "error" else want[0])
+    # every branch of the recursion ran, the two rarely reached ones included
+    assert seen >= {
+        "solution",
+        "A_# is zero; coefficients cannot be isolated",
+        "coefficient # is not determined by the equation (supply a normalization)",
+        "equation at order # references an undetermined coefficient",
+        "inconsistent equation at order #",
+        "inconsistent equation for coefficient #",
+        "normalization # contradicts forced value # at index #",
+    }
