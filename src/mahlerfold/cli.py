@@ -242,17 +242,15 @@ def cmd_fold(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    spec = folding.resolve_spec(args.spec)
-    word = folding.iterate_fold(spec, args.n)
-    path = curve.path_from_signs(word)
+    path = curve.path_from_signs(folding.iterate_fold(args.spec, args.n))
     if args.curve_cmd == "render":
         paths = [path]
         if args.overlay is not None:
             ospec, _, rest = args.overlay.partition(":")
             level, _, transform = rest.partition(":")
-            oword = folding.iterate_fold(folding.resolve_spec(ospec), int(level))
+            oword = folding.iterate_fold(ospec, int(level))
             if transform == "negrev":
-                oword = [-s for s in reversed(oword)]
+                oword = folding.negated(oword[::-1])
             elif transform:
                 raise ValueError(f"unknown overlay transform {transform!r}")
             paths.append(curve.path_from_signs(oword))
@@ -266,15 +264,8 @@ def cmd_curve(args) -> int:
         return 0
     if args.curve_cmd == "check":
         hit = curve.self_crossing(path)
-        _emit(
-            {
-                "n": args.n,
-                "edges": path.edge_count,
-                "self_crossing": hit is not None,
-                "first_repeated_edge": hit,
-            },
-            args.json,
-        )
+        _emit({"n": args.n, "edges": path.edge_count, "self_crossing": hit is not None,
+               "first_repeated_edge": hit}, args.json)
         return 1 if hit is not None else 0
     raise AssertionError
 

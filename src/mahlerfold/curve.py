@@ -1,64 +1,99 @@
 """Turn-sequence geometry: sign words as lattice paths, crossing tests, SVG.
 
-A path keeps only its sign word; ``LatticePath.vertices()`` walks that word
-whenever vertices are needed.  Convention: the path starts at the origin
-heading +x and draws one unit edge before reading any sign; +1 turns left,
-anything else turns right.  Negating the word reflects the path across the
-x-axis, so crossing verdicts do not depend on the convention.
+A path keeps only its sign word, one byte a letter, and walks it in C-level
+iterators whenever vertices are needed.  Convention: the path starts at the
+origin heading +x and draws one unit edge before reading any sign; +1 turns
+left, anything else turns right.  Negating the word reflects the path across
+the x-axis, so crossing verdicts do not depend on the convention.
 """
 
 from __future__ import annotations
 
 import colorsys
+import io
+from array import array
+from collections import deque
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import accumulate, chain, pairwise, repeat
+from operator import add, and_, setitem
 
-# unit steps in counter-clockwise order: a left turn is +1, a right turn -1
-_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_TURNS = bytes(1 if b == 1 else 0xFF for b in range(256))  # a signed byte to its turn
+# heading (0 east, 1 north, 2 west, 3 south) to its unit step's x and y
+_UNIT_STEPS = [bytes.maketrans(b"\0\1\2\3", t) for t in (b"\1\0\xff\0", b"\0\1\0\xff")]
+_GRID_BYTES_PER_EDGE = 64  # about what a set of int keys costs an edge
 
 
 @dataclass(frozen=True)
 class LatticePath:
-    word: tuple
+    word: bytes  # one signed byte a letter: 0x01 turns left, 0xFF turns right
 
     @property
     def edge_count(self) -> int:
         return len(self.word) + 1
 
+    def headings(self) -> bytes:
+        """Each edge's heading: the first heads east, each letter turns the next."""
+        return bytes(map(and_, accumulate(self.word, initial=0), repeat(3)))
+
     def vertices(self):
-        """Yield the len(word) + 2 vertices in drawing order."""
-        x, y, d = 1, 0, 0
-        yield 0, 0
-        yield x, y
-        for s in self.word:
-            d = (d + 1) & 3 if s == 1 else (d - 1) & 3
-            dx, dy = _STEPS[d]
-            x += dx
-            y += dy
-            yield x, y
+        """Iterate the len(word) + 2 vertices in drawing order."""
+        return zip(*_axes(self.headings()))
+
+
+def _axes(headings: bytes) -> list:
+    """Iterators over the vertices' x and y coordinates, from the origin."""
+    return [accumulate(memoryview(headings.translate(t)).cast("b"), initial=0) for t in _UNIT_STEPS]
+
+
+def _extent(headings_of_paths) -> tuple[int, int, int, int]:
+    """(minx, miny, maxx, maxy) of paths given by their headings.  Unit steps
+    visit every int between an axis's extremes: each set is one side long."""
+    xs, ys = (set(chain.from_iterable(axis)) for axis in zip(*map(_axes, headings_of_paths)))
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 def path_from_signs(word) -> LatticePath:
     """Lattice path with len(word)+1 unit edges."""
-    return LatticePath(tuple(word))
+    if isinstance(word, array) and word.typecode == "b":
+        return LatticePath(word.tobytes().translate(_TURNS))
+    return LatticePath(bytes(1 if s == 1 else 0xFF for s in word))
 
 
 def self_crossing(path: LatticePath) -> int | None:
     """Index of the first repeated undirected unit edge, or None.
 
     Vertices may repeat (corner touching); only a doubly-drawn segment
-    counts as a crossing.  An edge is keyed by its doubled midpoint
-    (x0 + x1, y0 + y1), packed into one int; k exceeds twice every
-    |x0 + x1|, so the packing is injective.
+    counts as a crossing.  In a box of width w and height h, vertex (x, y)
+    is x + y(2w + 1) and an edge is keyed by half its ends' sum, rounded
+    down: distinct keys below (2w + 1)(h + 1) mark a grid of that many bytes,
+    or fill a set where that costs less.  Only a path with fewer distinct
+    keys than edges is walked again, for its first repeat.
     """
-    k = 4 * path.edge_count + 4
+    headings = path.headings()
+    minx, miny, maxx, maxy = _extent([headings])
+    w, row = maxx - minx, 2 * (maxx - minx) + 1
+    size = row * (maxy - miny + 1)
+    # by heading: the step between vertex numbers, and the key's offset from
+    # the start's number (lists, whose __getitem__ is fast)
+    steps, offsets = [1, row, -1, -row], [0, w, -1, -w - 1]
+
+    def keys():
+        starts = accumulate(map(steps.__getitem__, headings), initial=-minx - miny * row)
+        return map(add, starts, map(offsets.__getitem__, headings))
+
+    if size <= _GRID_BYTES_PER_EDGE * path.edge_count:
+        marks = bytearray(size)
+        deque(map(setitem, repeat(marks), keys(), repeat(1)), maxlen=0)
+        distinct = marks.count(1)
+    else:
+        distinct = len(set(keys()))
+    if distinct == path.edge_count:
+        return None
     seen = set()
-    for i, ((x0, y0), (x1, y1)) in enumerate(pairwise(path.vertices())):
-        key = x0 + x1 + (y0 + y1) * k
+    for i, key in enumerate(keys()):
         if key in seen:
             return i
         seen.add(key)
-    return None
 
 
 def _rainbow(fraction: float) -> str:
@@ -88,33 +123,26 @@ def export_svg(paths, palette: str = "rainbow") -> str:
     if not paths:
         raise ValueError("nothing to render")
     color = PALETTES[palette]
-    xs, ys = zip(*(v for p in paths for v in p.vertices()))
-    minx, miny, maxx, maxy = min(xs), min(ys), max(xs), max(ys)
+    minx, miny, maxx, maxy = _extent(map(LatticePath.headings, paths))
     pad, scale = 1, 8  # scale: SVG units per lattice step
     width = (maxx - minx + 2 * pad) * scale
     height = (maxy - miny + 2 * pad) * scale
 
-    def sx(x: int) -> int:
-        return (x - minx + pad) * scale
-
-    def sy(y: int) -> int:
-        # SVG y grows downward; flip so the math orientation is preserved
-        return (maxy - y + pad) * scale
-
-    lines = [
+    # SVG y grows downward; flip so the math orientation is preserved
+    x0, y0 = (pad - minx) * scale, (maxy + pad) * scale
+    out = io.StringIO()
+    out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+        f'width="{width}" height="{height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n'
+    )
     for path in paths:
-        total = max(path.edge_count, 1)
-        for i, (prev, cur) in enumerate(pairwise(path.vertices())):
-            c = color(i / total)
-            lines.append(
-                f'<line x1="{sx(prev[0])}" y1="{sy(prev[1])}" '
-                f'x2="{sx(cur[0])}" y2="{sy(cur[1])}" '
-                f'stroke="{c}" stroke-width="{scale // 4}" '
-                f'stroke-linecap="square"/>'
+        for i, ((xa, ya), (xb, yb)) in enumerate(pairwise(path.vertices())):
+            out.write(
+                f'<line x1="{x0 + xa * scale}" y1="{y0 - ya * scale}" '
+                f'x2="{x0 + xb * scale}" y2="{y0 - yb * scale}" '
+                f'stroke="{color(i / path.edge_count)}" stroke-width="{scale // 4}" '
+                f'stroke-linecap="square"/>\n'
             )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    out.write("</svg>\n")
+    return out.getvalue()

@@ -14,6 +14,7 @@ grow exponentially; the computation is generic over the coefficient ring
 from __future__ import annotations
 
 import re
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, count, islice
@@ -230,24 +231,32 @@ def _unfold(spec: FoldSpec, empty, letter, join):
         yield acc
 
 
-def _append_sign(word: list[int], s: int) -> list[int]:
+def _append_sign(word: array, s: int) -> array:
     word.append(s)
     return word
 
 
-def _extend_signs(word: list[int], ref_word: list[int], ref: RuleRef) -> list[int]:
+def _extend_signs(word: array, ref_word: array, ref: RuleRef) -> array:
     if ref.reverse:
         ref_word = ref_word[::-1]
-    word.extend([-s for s in ref_word] if ref.negate else ref_word)
+    word.extend(negated(ref_word) if ref.negate else ref_word)
     return word
 
 
 def _sign_words(spec: FoldSpec):
-    return _unfold(spec, list, _append_sign, _extend_signs)
+    return _unfold(spec, lambda: array("b"), _append_sign, _extend_signs)
 
 
-def iterate_fold(spec, n: int) -> list[int]:
-    """The sign word w_n as a list over {+1, -1}; refused past MAX_SIGN_WORD_LETTERS."""
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # +1 and -1 as signed bytes, swapped
+
+
+def negated(word: array) -> array:
+    """The sign word with every letter negated."""
+    return array("b", word.tobytes().translate(_NEGATE))
+
+
+def iterate_fold(spec, n: int) -> array:
+    """The sign word w_n as an array('b') over {+1, -1}; refused past MAX_SIGN_WORD_LETTERS."""
     spec = resolve_spec(spec)
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -394,14 +403,8 @@ def word_to_cf(head: Polynomial, word: list[int]) -> Word:
 def specialized_digits(spec, n: int, x_value: int, count: int) -> list[int]:
     """First ``count`` integer partial quotients (head included) of the
     specialized CF of w_n evaluated at an integer x."""
-    word = iterate_fold(spec, n)
-    sp = specialize(rho_head(n), word)
-    out = []
-    for sym in sp.symbols():
-        out.append(int(sym(x_value)))
-        if len(out) >= count:
-            break
-    return out
+    symbols = specialize(rho_head(n), iterate_fold(spec, n)).symbols()
+    return [int(sym(x_value)) for sym in symbols[:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +416,8 @@ class StabilizationError(ValueError):
     pass
 
 
-# A sign word is a Python list, 8 bytes a letter; iterate_fold and the walk
-# below refuse to build a longer word (64 MiB) rather than exhaust memory.
+# A sign word is an array('b'), 1 byte a letter; iterate_fold and the walk
+# below refuse to build a longer word (8 MiB) rather than exhaust memory.
 MAX_SIGN_WORD_LETTERS = 1 << 23
 MAX_GF_LEVELS = 64
 
@@ -429,8 +432,8 @@ def sign_generating_functions(spec, order: int):
     """
     spec = resolve_spec(spec)
     need = order + 1
-    prev: dict[int, list[int]] = {}
-    stable: dict[int, list[int]] = {}
+    prev: dict[int, array] = {}
+    stable: dict[int, array] = {}
     words = _sign_words(spec)
     for n, length in enumerate(word_lengths(spec, MAX_GF_LEVELS - 1)):
         if length > MAX_SIGN_WORD_LETTERS:
@@ -445,10 +448,7 @@ def sign_generating_functions(spec, order: int):
                 stable[par] = w[:need]
         prev[par] = w
         if 0 in stable and 1 in stable:
-            return (
-                TruncatedSeries(stable[0], order),
-                TruncatedSeries(stable[1], order),
-            )
+            return TruncatedSeries(stable[0], order), TruncatedSeries(stable[1], order)
     raise StabilizationError(
         f"word prefixes did not stabilize to order {order} within {MAX_GF_LEVELS} iterations"
     )
@@ -645,7 +645,8 @@ MAX_ITERATE_DEGREE = 4096
 def specializable_iterated(f: Polynomial, mode: str, n_max: int) -> SpecializableReport:
     """Check whether the CF of sum 1/f^m(x) (cohn_sum) or of the irregular
     x + f(x)/1 + f^2(x)/1 + ... (irregular) has all partial quotients in Z[x].
-    An iterate of degree over MAX_ITERATE_DEGREE is refused before it is built.
+    An n_max whose last iterate passes MAX_ITERATE_DEGREE is refused before
+    any work; the iterate f^n is composed when level n is checked.
     """
     if f.degree < 2:
         raise ValueError("deg f must be >= 2")
@@ -653,15 +654,14 @@ def specializable_iterated(f: Polynomial, mode: str, n_max: int) -> Specializabl
         raise ValueError("n_max must be >= 1")
     if mode not in ("cohn_sum", "irregular"):
         raise ValueError(f"unknown mode {mode!r}")
+    # deg f^m = (deg f)^m, past the cap by m = 13 at the latest
+    degrees = (f.degree**m for m in range(1, n_max + 1))
+    over = next((d for d in degrees if d > MAX_ITERATE_DEGREE), None)
+    if over is not None:
+        raise DegreeCapExceeded(f"iterated polynomial degree {over} exceeds cap {MAX_ITERATE_DEGREE}")
     iterates = [Polynomial.x()]
-    for _ in range(n_max):
-        degree = f.degree * iterates[-1].degree
-        if degree > MAX_ITERATE_DEGREE:
-            raise DegreeCapExceeded(
-                f"iterated polynomial degree {degree} exceeds cap {MAX_ITERATE_DEGREE}"
-            )
-        iterates.append(f(iterates[-1]))
     for n in range(1, n_max + 1):
+        iterates.append(f(iterates[-1]))
         if mode == "cohn_sum":
             value = RationalFunction.constant(0)
             for m in range(n, -1, -1):

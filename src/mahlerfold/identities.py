@@ -178,7 +178,7 @@ def _check_e_words(_max_level: int) -> IdentityReport:
     def holds(n: int) -> bool:
         w = folding.iterate_fold("rho", n)
         e_next = folding.signed_even_subword(folding.iterate_fold("rho", n + 1))
-        return w == [-s for s in e_next] if n % 2 == 0 else [1] + w == e_next
+        return list(w) == [-s for s in e_next] if n % 2 == 0 else [1, *w] == e_next
 
     return _level_report("e-words", 0, 8, holds)
 

@@ -249,21 +249,40 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB on Linux")
-def test_curve_check_memory_guard():
-    # dragon n = 20 (2^20 edges) measured 262-270 MB peak RSS when the path held
-    # a vertex tuple and crossing used a set of edge tuples, and 113 MB with
-    # the word-only walk and int edge keys (2 vCPUs, Python 3.11)
-    t0 = time.monotonic()
+def _peak_rss_mb(*argv: str) -> float:
+    """Peak RSS of one CLI run, in MB; the run must exit 0."""
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
-    cli = [sys.executable, "-m", "mahlerfold.cli", "--json", "curve", "check",
-           "--spec", "dragon", "--n", "20"]
+    cli = [sys.executable, "-m", "mahlerfold.cli", *argv]
     out = subprocess.run([sys.executable, "-c", _PEAK_RSS_HELPER, *cli], env=env,
                          capture_output=True, text=True, check=True).stdout
     code, peak_kib = map(int, out.split())
     assert code == 0
-    assert peak_kib / 1024 < 160
-    _verdict(7, f"dragon n = 20 curve check peaks at {peak_kib / 1024:.0f} MB [< 160 MB]", t0)
+    return peak_kib / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB on Linux")
+def test_curve_check_memory_guard():
+    # dragon n = 20 (2^20 edges) measured 262-270 MB peak RSS when the path held
+    # a vertex tuple and crossing used a set of edge tuples, 113 MB with the
+    # word-only walk and int edge keys, and 27.5 MB with one-byte words and a
+    # bytearray edge grid (2 vCPUs, Python 3.11)
+    t0 = time.monotonic()
+    peak = _peak_rss_mb("--json", "curve", "check", "--spec", "dragon", "--n", "20")
+    assert peak < 56
+    _verdict(7, f"dragon n = 20 curve check peaks at {peak:.0f} MB [< 56 MB]", t0)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB on Linux")
+def test_curve_render_memory_guard(tmp_path):
+    # dragon n = 15 (2^15 edges, a 3.4 MB SVG) measured 35.8 MB peak RSS with a
+    # list of lines joined at the end, and 30.0 MB written through one
+    # StringIO (2 vCPUs, Python 3.11)
+    t0 = time.monotonic()
+    out = tmp_path / "dragon15.svg"
+    peak = _peak_rss_mb("curve", "render", "--spec", "dragon", "--n", "15", "--out", str(out))
+    assert out.read_text().count("<line ") == 1 << 15
+    assert peak < 60
+    _verdict(7, f"dragon n = 15 curve render peaks at {peak:.0f} MB [< 60 MB]", t0)
 
 
 def test_criterion_08_roots_of_unity():

@@ -9,7 +9,9 @@ import pytest
 
 from mahlerfold.cli import main
 from mahlerfold.contfrac import rho_value
+from mahlerfold.curve import export_svg, path_from_signs
 from mahlerfold.fiblucas import run_identity
+from mahlerfold.folding import iterate_fold
 from mahlerfold.identities import FOLD_CHECKS, REGISTRY
 
 
@@ -155,7 +157,9 @@ def test_curve_render_overlay(tmp_path, capsys):
     code, _ = run(capsys, "curve", "render", "--spec", "rho", "--n", "9",
                   "--out", str(out_file), "--overlay", "rho:8:negrev")
     assert code == 0
-    assert out_file.read_text().count("<line ") > 0
+    w8, w9 = iterate_fold("rho", 8), iterate_fold("rho", 9)
+    paths = [path_from_signs(w9), path_from_signs([-s for s in reversed(w8)])]
+    assert out_file.read_text() == export_svg(paths)
 
 
 def test_fold_spec_from_file(tmp_path, capsys):
@@ -499,6 +503,19 @@ def test_bad_input_process_exit_code():
     )
     assert proc.returncode == 2
     assert proc.stderr == "mahlerfold: error: unexpected end of expression in 'x^'\n"
+
+
+def test_cohn_stops_at_the_first_failing_level(capsys):
+    # f and f(f) already fail; composing all 12 iterates first took 4.4 s
+    t0 = time.monotonic()
+    code, out = run(capsys, "--json", "fold", "cohn", "--poly", "x^2+x+1",
+                    "--mode", "irregular", "--nmax", "12")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 0
+    assert out == (
+        '{"checked_up_to": 12, "congruences": [], "fails_at": 2, "mode": "irregular", '
+        '"schema": 1, "specializable": false, "witness": "1/2 + 1/2*x + 1/2*x^2"}\n'
+    )
 
 
 @pytest.mark.parametrize("argv, message", [

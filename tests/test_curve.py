@@ -1,7 +1,12 @@
+import random
+import time
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerfold import curve
 from mahlerfold.curve import export_svg, path_from_signs, self_crossing
 from mahlerfold.folding import NAMED_SPECS, iterate_fold, parse_fold_spec, word_lengths
 
@@ -35,9 +40,17 @@ def reference_crossing(vertices) -> int | None:
     return None
 
 
+def grid_bytes_per_edge(vertices) -> float:
+    """Bytes of the crossing check's edge grid over the box, per edge."""
+    xs, ys = zip(*vertices)
+    return (2 * (max(xs) - min(xs)) + 1) * (max(ys) - min(ys) + 1) / (len(vertices) - 1)
+
+
 def assert_matches_reference(word):
     for w in (list(word), [-s for s in word]):
         path = path_from_signs(w)
+        same = path_from_signs(array("b", w))
+        assert same == path and hash(same) == hash(path)
         vertices = reference_vertices(w)
         assert tuple(path.vertices()) == vertices
         assert path.edge_count == len(vertices) - 1
@@ -54,6 +67,44 @@ def test_walk_matches_reference_on_named_specs(name):
         assert_matches_reference(iterate_fold(name, n))
         n += 1
     assert n >= 8
+
+
+@pytest.mark.parametrize("name", ["cubic-alt", "quintic", "rational-ex"])
+def test_sparse_boxes_match_reference(name):
+    # the largest level under the oracle's reach; its box would cost an edge
+    # grid of more than _GRID_BYTES_PER_EDGE bytes an edge, so a set checks it
+    n = 0
+    while word_lengths(name, n + 1)[-1] <= REFERENCE_LETTERS:
+        n += 1
+    word = iterate_fold(name, n)
+    assert grid_bytes_per_edge(reference_vertices(word)) > curve._GRID_BYTES_PER_EDGE
+    assert_matches_reference(word)
+
+
+@pytest.mark.parametrize("tail", [[], [1, 1, 1, 1]], ids=["open", "closing-loop"])
+def test_staircase_matches_reference(tail):
+    # alternating turns walk a diagonal, so the box grows as the square of the
+    # edge count; a grid over it would take 2*10^10 bytes
+    word = [1, -1] * (REFERENCE_LETTERS // 2) + tail
+    t0 = time.monotonic()
+    hit = self_crossing(path_from_signs(array("b", word)))
+    assert time.monotonic() - t0 < 5
+    assert hit == (None if not tail else REFERENCE_LETTERS + 4)
+    assert_matches_reference(word)
+
+
+@pytest.mark.parametrize("grid_bytes", [0, 10**6], ids=["set", "grid"])
+def test_set_and_grid_agree_with_reference(monkeypatch, grid_bytes):
+    # 0 sends every path to the set, 10^6 every path here to the grid
+    monkeypatch.setattr(curve, "_GRID_BYTES_PER_EDGE", grid_bytes)
+    for name in sorted(NAMED_SPECS):
+        n = 0
+        while word_lengths(name, n)[-1] <= 5000:
+            assert_matches_reference(iterate_fold(name, n))
+            n += 1
+    rng = random.Random(0)
+    for _ in range(200):
+        assert_matches_reference([rng.choice((1, -1)) for _ in range(rng.randrange(300))])
 
 
 @settings(max_examples=150, deadline=None)

@@ -157,7 +157,7 @@ def test_parse_base_signs():
 # -- word iteration -----------------------------------------------------------
 
 def test_rho_word_n4():
-    assert iterate_fold("rho", 4) == [1, 1, 1, -1, -1, 1, -1, -1, 1, 1]
+    assert list(iterate_fold("rho", 4)) == [1, 1, 1, -1, -1, 1, -1, -1, 1, 1]
 
 
 def test_rho_word_lengths():
@@ -176,7 +176,7 @@ def test_rho_length_parity_mod_4():
 
 
 def test_dragon_word_n4():
-    assert iterate_fold("dragon", 4) == [
+    assert list(iterate_fold("dragon", 4)) == [
         1, 1, -1, 1, 1, -1, -1, 1, 1, 1, -1, -1, 1, -1, -1,
     ]
 
@@ -220,9 +220,9 @@ def test_e_words():
         w = iterate_fold("rho", n)
         e_next = signed_even_subword(iterate_fold("rho", n + 1))
         if n % 2 == 0:
-            assert w == [-s for s in e_next]
+            assert list(w) == [-s for s in e_next]
         else:
-            assert [1] + w == e_next
+            assert [1, *w] == e_next
 
 
 # -- continuants through the recursion ---------------------------------------
@@ -293,7 +293,7 @@ def small_specs(draw):
 @given(small_specs(), st.integers(0, 6))
 def test_walker_words_and_lengths_match_literal_recursion(spec, n):
     words = literal_words(spec, n)
-    assert iterate_fold(spec, n) == words[n]
+    assert list(iterate_fold(spec, n)) == words[n]
     assert word_lengths(spec, n) == [len(w) for w in words]
 
 
