@@ -242,7 +242,8 @@ def cmd_fold(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    path = curve.path_from_signs(folding.iterate_fold(args.spec, args.n))
+    word = folding.iterate_fold(args.spec, args.n)
+    path = curve.path_from_signs(word)
     if args.curve_cmd == "render":
         paths = [path]
         if args.overlay is not None:
@@ -264,8 +265,15 @@ def cmd_curve(args) -> int:
         return 0
     if args.curve_cmd == "check":
         hit = curve.self_crossing(path)
-        _emit({"n": args.n, "edges": path.edge_count, "self_crossing": hit is not None,
-               "first_repeated_edge": hit}, args.json)
+        _emit(
+            {
+                "n": args.n,
+                "edges": path.edge_count,
+                "self_crossing": hit is not None,
+                "first_repeated_edge": hit,
+            },
+            args.json,
+        )
         return 1 if hit is not None else 0
     raise AssertionError
 

@@ -20,7 +20,8 @@ from operator import add, and_, setitem
 _TURNS = bytes(1 if b == 1 else 0xFF for b in range(256))  # a signed byte to its turn
 # heading (0 east, 1 north, 2 west, 3 south) to its unit step's x and y
 _UNIT_STEPS = [bytes.maketrans(b"\0\1\2\3", t) for t in (b"\1\0\xff\0", b"\0\1\0\xff")]
-_GRID_BYTES_PER_EDGE = 64  # about what a set of int keys costs an edge
+_GRID_BYTES_PER_EDGE = 16  # a fifth of what a set of int keys costs an edge
+_PREFIX_LETTERS = 1 << 12  # a longer word's first sixteenth is checked first
 
 
 @dataclass(frozen=True)
@@ -53,23 +54,35 @@ def _extent(headings_of_paths) -> tuple[int, int, int, int]:
 
 
 def path_from_signs(word) -> LatticePath:
-    """Lattice path with len(word)+1 unit edges."""
-    if isinstance(word, array) and word.typecode == "b":
-        return LatticePath(word.tobytes().translate(_TURNS))
-    return LatticePath(bytes(1 if s == 1 else 0xFF for s in word))
+    """Lattice path with len(word)+1 unit edges; each letter fits a signed byte."""
+    return LatticePath(array("b", word).tobytes().translate(_TURNS))
 
 
 def self_crossing(path: LatticePath) -> int | None:
     """Index of the first repeated undirected unit edge, or None.
 
     Vertices may repeat (corner touching); only a doubly-drawn segment
-    counts as a crossing.  In a box of width w and height h, vertex (x, y)
-    is x + y(2w + 1) and an edge is keyed by half its ends' sum, rounded
-    down: distinct keys below (2w + 1)(h + 1) mark a grid of that many bytes,
-    or fill a set where that costs less.  Only a path with fewer distinct
-    keys than edges is walked again, for its first repeat.
+    counts as a crossing.
     """
-    headings = path.headings()
+    return _first_repeat(path.word)
+
+
+def _first_repeat(word: bytes) -> int | None:
+    """self_crossing of the path of a word.  A word of more than
+    _PREFIX_LETTERS letters checks its first sixteenth first, which draws the
+    path's first edges: a repeat at edge r costs a walk of at most about 16r.
+
+    In a box of width w and height h, vertex (x, y) is x + y(2w + 1) and an
+    edge is keyed by half its ends' sum, rounded down.  Where a grid of the
+    (2w + 1)(h + 1) keys costs at most _GRID_BYTES_PER_EDGE bytes an edge, a
+    path that marks one grid byte an edge has no repeat; any other path is
+    walked with a set of the keys seen, up to its first repeat.
+    """
+    if len(word) > _PREFIX_LETTERS:
+        hit = _first_repeat(word[: len(word) // 16])
+        if hit is not None:
+            return hit
+    headings = LatticePath(word).headings()
     minx, miny, maxx, maxy = _extent([headings])
     w, row = maxx - minx, 2 * (maxx - minx) + 1
     size = row * (maxy - miny + 1)
@@ -81,19 +94,17 @@ def self_crossing(path: LatticePath) -> int | None:
         starts = accumulate(map(steps.__getitem__, headings), initial=-minx - miny * row)
         return map(add, starts, map(offsets.__getitem__, headings))
 
-    if size <= _GRID_BYTES_PER_EDGE * path.edge_count:
+    if size <= _GRID_BYTES_PER_EDGE * (len(word) + 1):
         marks = bytearray(size)
         deque(map(setitem, repeat(marks), keys(), repeat(1)), maxlen=0)
-        distinct = marks.count(1)
-    else:
-        distinct = len(set(keys()))
-    if distinct == path.edge_count:
-        return None
+        if marks.count(1) == len(word) + 1:
+            return None
     seen = set()
     for i, key in enumerate(keys()):
         if key in seen:
             return i
         seen.add(key)
+    return None
 
 
 def _rainbow(fraction: float) -> str:

@@ -403,8 +403,14 @@ def word_to_cf(head: Polynomial, word: list[int]) -> Word:
 def specialized_digits(spec, n: int, x_value: int, count: int) -> list[int]:
     """First ``count`` integer partial quotients (head included) of the
     specialized CF of w_n evaluated at an integer x."""
-    symbols = specialize(rho_head(n), iterate_fold(spec, n)).symbols()
-    return [int(sym(x_value)) for sym in symbols[:count]]
+    word = iterate_fold(spec, n)
+    sp = specialize(rho_head(n), word)
+    out = []
+    for sym in sp.symbols():
+        out.append(int(sym(x_value)))
+        if len(out) >= count:
+            break
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +454,10 @@ def sign_generating_functions(spec, order: int):
                 stable[par] = w[:need]
         prev[par] = w
         if 0 in stable and 1 in stable:
-            return TruncatedSeries(stable[0], order), TruncatedSeries(stable[1], order)
+            return (
+                TruncatedSeries(stable[0], order),
+                TruncatedSeries(stable[1], order),
+            )
     raise StabilizationError(
         f"word prefixes did not stabilize to order {order} within {MAX_GF_LEVELS} iterations"
     )

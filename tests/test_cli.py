@@ -13,6 +13,7 @@ from mahlerfold.curve import export_svg, path_from_signs
 from mahlerfold.fiblucas import run_identity
 from mahlerfold.folding import iterate_fold
 from mahlerfold.identities import FOLD_CHECKS, REGISTRY
+from mahlerfold.poly import Polynomial
 
 
 def run(capsys, *argv):
@@ -505,12 +506,21 @@ def test_bad_input_process_exit_code():
     assert proc.stderr == "mahlerfold: error: unexpected end of expression in 'x^'\n"
 
 
-def test_cohn_stops_at_the_first_failing_level(capsys):
-    # f and f(f) already fail; composing all 12 iterates first took 4.4 s
-    t0 = time.monotonic()
+def test_cohn_stops_at_the_first_failing_level(capsys, monkeypatch):
+    # f and f(f) already fail, so no iterate past degree 4 is composed
+    composed = []
+    call = Polynomial.__call__
+
+    def recording_call(self, point):
+        result = call(self, point)
+        if isinstance(point, Polynomial):
+            composed.append(result.degree)
+        return result
+
+    monkeypatch.setattr(Polynomial, "__call__", recording_call)
     code, out = run(capsys, "--json", "fold", "cohn", "--poly", "x^2+x+1",
                     "--mode", "irregular", "--nmax", "12")
-    assert time.monotonic() - t0 < 1.0
+    assert max(composed) == 4
     assert code == 0
     assert out == (
         '{"checked_up_to": 12, "congruences": [], "fails_at": 2, "mode": "irregular", '

@@ -1,5 +1,4 @@
 import random
-import time
 from array import array
 
 import pytest
@@ -86,17 +85,29 @@ def test_staircase_matches_reference(tail):
     # alternating turns walk a diagonal, so the box grows as the square of the
     # edge count; a grid over it would take 2*10^10 bytes
     word = [1, -1] * (REFERENCE_LETTERS // 2) + tail
-    t0 = time.monotonic()
+    assert grid_bytes_per_edge(reference_vertices(word)) > curve._GRID_BYTES_PER_EDGE
     hit = self_crossing(path_from_signs(array("b", word)))
-    assert time.monotonic() - t0 < 5
     assert hit == (None if not tail else REFERENCE_LETTERS + 4)
     assert_matches_reference(word)
 
 
+def test_an_early_repeat_stops_the_walk(monkeypatch):
+    # cubic repeats edge 46, so of its 349525 letters at level 10 only a
+    # prefix of at most _PREFIX_LETTERS is walked
+    walked = []
+    headings = curve.LatticePath.headings
+    monkeypatch.setattr(curve.LatticePath, "headings",
+                        lambda path: walked.append(len(path.word)) or headings(path))
+    assert self_crossing(path_from_signs(iterate_fold("cubic", 10))) == 46
+    assert 0 < sum(walked) <= curve._PREFIX_LETTERS
+
+
 @pytest.mark.parametrize("grid_bytes", [0, 10**6], ids=["set", "grid"])
 def test_set_and_grid_agree_with_reference(monkeypatch, grid_bytes):
-    # 0 sends every path to the set, 10^6 every path here to the grid
+    # 0 sends every path to the set, 10^6 every path here to the grid; a
+    # small _PREFIX_LETTERS checks prefixes of these short words first
     monkeypatch.setattr(curve, "_GRID_BYTES_PER_EDGE", grid_bytes)
+    monkeypatch.setattr(curve, "_PREFIX_LETTERS", 16)
     for name in sorted(NAMED_SPECS):
         n = 0
         while word_lengths(name, n)[-1] <= 5000:
