@@ -198,22 +198,30 @@ def irregular_continuants(cf: IrregularCF) -> ContinuantMatrix:
     return mat
 
 
+def fold_matrix(a, c, length: int, t) -> ContinuantMatrix:
+    """The Folding Lemma (van der Poorten and Shallit, 1992) from the first
+    column (a, c) of M(w) and length = |w|, in two squares and one product:
+    M(w, t, -~w) = s (t a^2, s - t a c; t a c + s, -t c^2), s = (-1)^|w| = det M(w)."""
+    st = -t if length % 2 else t
+    stac = st * (a * c)
+    return ContinuantMatrix(st * (a * a), 1 - stac, stac + 1, -st * (c * c))
+
+
 def fold(word: Word, a0, t) -> tuple[Word, ContinuantMatrix]:
     """One folding step: [a0; w, t, -reverse(w)] and its continuants.
 
-    The matrix is sign-normalized by (-1)^len(w) so that the Folding Lemma
-    formulas p' = q p t + (-1)^n and q' = t q^2 (n = len(w), with (p, q) the
-    continuants of [a0; w]) hold for odd-length words as well; the literal
-    Key Lemma product differs from them by that global sign, which never
-    affects the convergent.
+    The matrix is (a0, 1; 1, 0) times ``fold_matrix`` of w, sign-normalized
+    by (-1)^len(w) so that the Folding Lemma formulas p' = q p t + (-1)^n and
+    q' = t q^2 (n = len(w), with (p, q) the continuants of [a0; w]) hold for
+    odd-length words as well; the literal Key Lemma product differs from them
+    by that global sign, which never affects the convergent.
     """
     if not t:
         raise ValueError("fold requires t != 0")
     folded = Word(tuple(word.entries) + (t,) + tuple(-a for a in reversed(word.entries)), a0)
-    mat = continuants(folded)
-    if len(word.entries) % 2:
-        mat = mat.scale(-1)
-    return folded, mat
+    base = continuants(Word(word.entries, a0))  # (p, q) = (a0 a + c, a) for (a, c) of M(w)
+    mat = _identity_like(a0).push(a0).mul(fold_matrix(base.q, base.p - a0 * base.q, len(word), t))
+    return folded, mat.scale(-1) if len(word.entries) % 2 else mat
 
 
 def euclid_cf(f: RationalFunction) -> Word:

@@ -8,7 +8,10 @@ and continuant matrices are its images of the words under different maps of a
 letter (a sign, a count, a Key Lemma step).  Continuant matrices are thus
 computed through the recursion itself, so they stay cheap even when the words
 grow exponentially; the computation is generic over the coefficient ring
-(polynomials, truncated series, exact rationals, ints, big floats).
+(polynomials, truncated series, exact rationals, ints, big floats).  Each run
+U, c, -~U of a rule (dragon, rho, cubic and quintic have one) is found when
+the spec is built and costs the Folding Lemma's two squares and one product
+from U's first column; a check that reads only (p, q) keeps first columns.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from __future__ import annotations
 import re
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, count, islice
 
-from .contfrac import ContinuantMatrix, Word, _identity_like, euclid_cf, eval_irregular, IrregularCF
+from .contfrac import ContinuantMatrix, Word, _identity_like, euclid_cf, eval_irregular, fold_matrix, IrregularCF
 from .poly import Polynomial, RationalFunction
 from .series import TruncatedSeries
 
@@ -51,9 +54,50 @@ class RuleRef:
 
 
 @dataclass(frozen=True)
+class RuleFold:
+    u: tuple  # the run U, const, -~U, with U's own runs folded
+    const: RuleConst
+
+
+def _mirror(it):
+    """-~ of a rule item: a letter negated, a reference reversed and negated."""
+    if isinstance(it, RuleConst):
+        return RuleConst(-it.sign, it.parity)
+    return RuleRef(it.depth, not it.reverse, not it.negate)
+
+
+def _find_folds(rule: tuple) -> tuple:
+    """The rule with each run U, c, -~U (U led by a reference, the longest U
+    first, left to right) replaced by a RuleFold."""
+    out, i = [], 0
+    while i < len(rule):
+        runs = (
+            k for k in range((len(rule) - i - 1) // 2, 0, -1)
+            if isinstance(rule[i + k], RuleConst)
+            and all(a == _mirror(b) for a, b in zip(rule[i + k + 1 :], reversed(rule[i : i + k])))
+        )
+        k = next(runs, 0) if isinstance(rule[i], RuleRef) else 0
+        out.append(RuleFold(_find_folds(rule[i : i + k]), rule[i + k]) if k else rule[i])
+        i += 2 * k + 1
+    return tuple(out)
+
+
+def _column_closed(items: tuple) -> bool:
+    """Whether every reference is, alone and unreversed, a fold's U or the last
+    item, so a level's first column needs only those of earlier levels."""
+    return all(
+        isinstance(it, RuleConst)
+        or (isinstance(it, RuleFold) and len(it.u) == 1 and _column_closed(it.u))
+        or (i == len(items) - 1 and isinstance(it, RuleRef) and not it.reverse)
+        for i, it in enumerate(items)
+    )
+
+
+@dataclass(frozen=True)
 class FoldSpec:
     bases: tuple[tuple[int, ...], ...]
     rule: tuple
+    folds: tuple = field(init=False, repr=False, compare=False)  # the rule, its runs folded
 
     def __post_init__(self):
         if not self.rule:
@@ -63,6 +107,7 @@ class FoldSpec:
             raise ValueError(
                 f"rule refers {depth} levels back but only {len(self.bases)} bases are declared"
             )
+        object.__setattr__(self, "folds", _find_folds(self.rule))
 
     def max_depth(self) -> int:
         return max((it.depth for it in self.rule if isinstance(it, RuleRef)), default=0)
@@ -206,29 +251,38 @@ def resolve_spec(spec) -> FoldSpec:
 # ---------------------------------------------------------------------------
 
 
-def _unfold(spec: FoldSpec, empty, letter, join):
+def _unfold(spec: FoldSpec, empty, letter, join, fold=None):
     """Yield the images of w_0, w_1, ... under a map that respects the rule.
 
     The one interpreter of the fold rule.  ``empty()`` is a fresh image of
     the empty word, ``letter(acc, s)`` appends the letter s*x (s = +1 or -1)
     to an image and ``join(acc, image, ref)`` appends the image of a word
-    reversed and negated as the RuleRef ``ref`` says.  Only the images that
-    the rule can still refer to (the last ``max_depth``) are kept.
+    reversed and negated as the RuleRef ``ref`` says; ``fold(acc, image, s)``,
+    if given, appends a run U, s*x, -~U of ``spec.folds`` from U's image.
+    Only the images that the rule can still refer to (the last ``max_depth``)
+    are kept.
     """
     window: deque = deque(maxlen=max(spec.max_depth(), 1))
+    rule = spec.folds if fold else spec.rule
     for m in count():
-        acc = empty()
-        if m < len(spec.bases):
-            for s in spec.bases[m]:
-                acc = letter(acc, s)
+        items = map(RuleConst, spec.bases[m]) if m < len(spec.bases) else rule
+        window.append(_read(items, m, window, (empty, letter, join, fold)))
+        yield window[-1]
+
+
+def _read(items, m: int, window, maps):
+    """The image of ``items`` in word m (see ``_unfold``)."""
+    empty, letter, join, fold = maps
+    acc = empty()
+    for it in items:
+        if isinstance(it, RuleFold):
+            c = it.const
+            acc = fold(acc, _read(it.u, m, window, maps), -c.sign if c.parity and m % 2 else c.sign)
+        elif isinstance(it, RuleConst):
+            acc = letter(acc, -it.sign if it.parity and m % 2 else it.sign)
         else:
-            for it in spec.rule:
-                if isinstance(it, RuleConst):
-                    acc = letter(acc, -it.sign if it.parity and m % 2 else it.sign)
-                else:
-                    acc = join(acc, window[-it.depth], it)
-        window.append(acc)
-        yield acc
+            acc = join(acc, window[-it.depth], it)
+    return acc
 
 
 def _append_sign(word: array, s: int) -> array:
@@ -284,41 +338,54 @@ def word_lengths(spec, n: int) -> list[int]:
     return list(islice(lengths, max(n + 1, 0)))
 
 
-def _continuant_images(spec: FoldSpec, x):
+def _continuant_images(spec: FoldSpec, x, column: bool = False):
     """(continuant matrix, length) of w_0, w_1, ... with x the ring image of
     the letter x.  Negated references use N(-w) = (-1)^len(w) D N(w) D with
     D = diag(1, -1), which is exact for Key Lemma products; reversal is the
-    transpose."""
-    minus_x = -x
+    transpose.  A run U, c, -~U costs three products (``fold_matrix``); with
+    ``column`` a reference is read as its first column (second column zero),
+    so a join costs four products, exact for a column-closed spec."""
+    minus_x, zero, ident = -x, x * 0, _identity_like(x)
 
     def letter(acc, s):
         mat, length = acc
         return mat.push(x if s > 0 else minus_x), length + 1
 
+    def times(acc, mat, length):
+        return (mat if acc[0] is ident else acc[0].mul(mat)), acc[1] + length
+
     def join(acc, image, ref):
-        (mat, length), (ref_mat, ref_len) = acc, image
+        ref_mat, ref_len = image
+        if column:
+            ref_mat = ContinuantMatrix(ref_mat.p, zero, ref_mat.q, zero)
         if ref.reverse:
             ref_mat = ref_mat.transpose()
         if ref.negate:
             ref_mat = ref_mat.conjugate_sign()
             if ref_len % 2:
                 ref_mat = ref_mat.scale(-1)
-        return mat.mul(ref_mat), length + ref_len
+        return times(acc, ref_mat, ref_len)
 
-    return _unfold(spec, lambda: (_identity_like(x), 0), letter, join)
+    def fold(acc, image, s):
+        (u, u_len), t = image, x if s > 0 else minus_x
+        return times(acc, fold_matrix(u.p, u.q, u_len, t), 2 * u_len + 1)
+
+    return _unfold(spec, lambda: (ident, 0), letter, join, fold)
 
 
 class FoldEngine:
     """Computes continuants of w_n for a fold spec over an arbitrary ring.
 
     ``x`` is the ring image of the letter x.  Levels are pulled from the
-    fold-rule interpreter on demand and cached.
+    fold-rule interpreter on demand and cached.  A ``column`` engine promises
+    only first columns (p, q); for a column-closed spec (rho, dragon) it keeps
+    nothing else, so a level's last join costs four products, not eight.
     """
 
-    def __init__(self, spec, x):
+    def __init__(self, spec, x, column: bool = False):
         self.spec = resolve_spec(spec)
         self.x = x
-        self._images = _continuant_images(self.spec, x)
+        self._images = _continuant_images(self.spec, x, column and _column_closed(self.spec.folds))
         self._cache: list = []
 
     def matrix(self, n: int) -> ContinuantMatrix:
@@ -336,8 +403,10 @@ class FoldEngine:
 
 
 def fold_continuants(spec, n: int, head: Polynomial | None = None) -> ContinuantMatrix:
-    """Continuants of [head; w_n] over Q[x] (head defaults to rho's s_n)."""
-    return FoldEngine(spec, Polynomial.x()).with_head(n, rho_head(n) if head is None else head)
+    """Continuants p, q of [head; w_n] over Q[x] (head defaults to rho's s_n),
+    from a ``column`` engine: the second column of the matrix may be zero."""
+    engine = FoldEngine(spec, Polynomial.x(), column=True)
+    return engine.with_head(n, rho_head(n) if head is None else head)
 
 
 def rho_head(n: int) -> Polynomial:
@@ -353,7 +422,7 @@ def fold_continuants_series(spec, n: int, order: int, head=None) -> ContinuantMa
 
 def fold_value(spec, n: int, x, head=None):
     """p/q of [head; w_n] (or of w_n alone) at a scalar x, exactly."""
-    engine = FoldEngine(spec, x)
+    engine = FoldEngine(spec, x, column=True)
     return (engine.matrix(n) if head is None else engine.with_head(n, head)).ratio()
 
 
@@ -585,8 +654,8 @@ def special_recursion_polys(spec) -> tuple[Polynomial, Polynomial]:
         raise NotSpecialError(f"spec is not special: {spec.pretty()}")
     r = sum(1 for it in spec.rule if isinstance(it, RuleRef))
     lengths = word_lengths(spec, 4)
-    engine = FoldEngine(spec, Polynomial.x())
-    light = [FoldEngine(spec, 2), FoldEngine(spec, 3), FoldEngine(spec, TruncatedSeries.x(64))]
+    engine = FoldEngine(spec, Polynomial.x(), column=True)
+    light = [FoldEngine(spec, x, column=True) for x in (2, 3, TruncatedSeries.x(64))]
     checks = [
         (e, n)
         for n in (2, 3, 4)

@@ -148,7 +148,7 @@ def _check_rho_theorem(max_level: int) -> IdentityReport:
     if max_level > MAX_RESULT_BITS_LOG2:  # each level costs about 2.7 times the one below
         raise ValueError(f"rho-theorem at level {max_level} compares polynomials of "
                          f"2^{max_level} coefficients, over the cap of 2^{MAX_RESULT_BITS_LOG2}")
-    engine = folding.FoldEngine("rho", Polynomial.x())
+    engine = folding.FoldEngine("rho", Polynomial.x(), column=True)
     lengths = folding.word_lengths("rho", max_level)
 
     def holds(n: int) -> bool:

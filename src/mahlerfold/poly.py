@@ -78,8 +78,9 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         offset = int.from_bytes(top * len(p), "little")
         return (int.from_bytes(raw, "little") ^ offset) - offset
 
+    packed = pack(a)  # a square multiplies the one integer by itself: CPython's squaring path
     offset = int.from_bytes(top * n, "little")
-    raw = ((pack(a) * pack(b) + offset) ^ offset).to_bytes(n * w, "little")
+    raw = ((packed * (packed if b is a else pack(b)) + offset) ^ offset).to_bytes(n * w, "little")
     if not c:
         return [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, n * w, w)]
     if w < c:

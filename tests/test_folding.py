@@ -1,17 +1,19 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerfold import folding
-from mahlerfold.contfrac import Word, continuants, euclid_cf
+from mahlerfold.contfrac import Word, _identity_like, continuants, euclid_cf
 from mahlerfold.folding import (
     FoldEngine,
     FoldSpec,
     FoldSyntaxError,
     NotSpecialError,
     RuleConst,
+    RuleFold,
     RuleRef,
     StabilizationError,
     cohn_congruence_test,
@@ -34,7 +36,7 @@ from mahlerfold.folding import (
     word_to_cf,
 )
 from mahlerfold.poly import Polynomial, RationalFunction, parse_poly
-from mahlerfold.series import truncated_partial
+from mahlerfold.series import TruncatedSeries, truncated_partial
 
 P = Polynomial
 
@@ -58,6 +60,28 @@ def literal_words(spec: FoldSpec, n: int) -> list[list[int]]:
                 out.extend(w)
         words.append(out)
     return words[: n + 1]
+
+
+def mul_path_matrices(spec: FoldSpec, x, n: int) -> list:
+    """M(w_0..w_n) over the ring of x with one ContinuantMatrix.mul per
+    reference: the rule read item by item, without the Folding Lemma."""
+    minus_x = -x
+
+    def letter(acc, s):
+        return acc[0].push(x if s > 0 else minus_x), acc[1] + 1
+
+    def join(acc, image, ref):
+        ref_mat, ref_len = image
+        if ref.reverse:
+            ref_mat = ref_mat.transpose()
+        if ref.negate:
+            ref_mat = ref_mat.conjugate_sign()
+            if ref_len % 2:
+                ref_mat = ref_mat.scale(-1)
+        return acc[0].mul(ref_mat), acc[1] + ref_len
+
+    images = folding._unfold(spec, lambda: (_identity_like(x), 0), letter, join)
+    return [mat for mat, _ in islice(images, n + 1)]
 
 
 def specialize_by_slicing(head: Polynomial, word: list[int]) -> Word:
@@ -303,6 +327,103 @@ def test_engine_with_head_matches_literal_continuants(spec, n, t, head):
     word = literal_words(spec, n)[n]
     direct = continuants(Word(tuple(s * t for s in word), head))
     assert FoldEngine(spec, t).with_head(n, head) == direct
+
+
+# -- the Folding Lemma in the engine against the mul path ----------------------
+
+def _ref(depth, flip=False):
+    return RuleRef(depth, reverse=flip, negate=flip)
+
+
+FOLD_TABLE = {
+    "dragon": (["w1"], True),
+    "rho": (["w2"], True),
+    "cubic": (["w1, w1"], False),
+    "quintic": (["w1, w1, w1"], False),
+    "cubic-alt": ([], False),
+    "rational-ex": ([], False),
+    "bases:[] ; rule: x, -~w1, x, w1": (["-~w1"], False),
+    "bases:[] ; rule: w1, x, -~w1, x, w1, x, -~w1": (["w1", "w1"], True),
+    "bases:[] ; rule: w1, x, -~w1, x, w1, -x, -~w1": (["fold(w1; x)"], True),
+    "bases:[] ; rule: w1, x, -~w1, x, w1, x, -~w1, x, w1": (["w1", "w1"], True),
+    "bases:[] ; rule: w1, x, -~w1, x, ~w1": (["w1"], False),
+    "bases:[] ; rule: w1, x, -~w1, w1, x": (["w1"], False),
+}
+
+
+def _show(it) -> str:
+    if isinstance(it, RuleFold):
+        return f"fold({', '.join(map(_show, it.u))}; {it.const.pretty()})"
+    return it.pretty()
+
+
+@pytest.mark.parametrize("spec", FOLD_TABLE)
+def test_fold_detector_table(spec):
+    runs, closed = FOLD_TABLE[spec]
+    folds = folding.resolve_spec(spec).folds
+    found = [", ".join(map(_show, f.u)) for f in folds if isinstance(f, RuleFold)]
+    assert found == runs
+    assert folding._column_closed(folds) is closed
+
+
+def test_nested_run_is_folded_inside_u():
+    # w1, x, -~w1, x, w1, -x, -~w1 is the run U, x, -~U with U = w1, x, -~w1,
+    # and U is itself the run w1, x, -~w1
+    (outer,) = parse_fold_spec("bases:[] ; rule: w1, x, -~w1, x, w1, -x, -~w1").folds
+    assert outer.const == RuleConst(1)
+    assert outer.u == (RuleFold((_ref(1),), RuleConst(1)),)
+
+
+@st.composite
+def planted_specs(draw):
+    """A run U, c, -~U (U of 1-3 items led by wN or -~wN) then a tail that
+    keeps the spec column-closed (for a one-item U = wN) or breaks it."""
+    bases = tuple(
+        tuple(draw(st.lists(st.sampled_from((1, -1)), max_size=3)))
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    depths = st.integers(1, len(bases))
+    refs = st.builds(RuleRef, depths, reverse=st.booleans(), negate=st.booleans())
+    lead = draw(st.builds(_ref, depths, st.booleans()))
+    u = (lead, *draw(st.lists(st.one_of(st.sampled_from(_CONSTS), refs), max_size=2)))
+    closed = ((), (RuleConst(1),), (RuleConst(-1, parity=True), _ref(1)), (RuleRef(1, negate=True),))
+    open_ = ((_ref(1, True),), (_ref(1), RuleConst(-1)), (RuleConst(1), RuleRef(1, reverse=True)))
+    tail = draw(st.sampled_from(closed + open_))
+    c = draw(st.sampled_from(_CONSTS))
+    return FoldSpec(bases, (*u, c, *map(folding._mirror, reversed(u)), *tail))
+
+
+_RINGS = {"Z": lambda: -2, "Q[x]": P.x, "series": lambda: TruncatedSeries.x(24)}
+
+
+@settings(max_examples=90, deadline=None)
+@given(planted_specs(), st.integers(0, 6), st.sampled_from(sorted(_RINGS)), st.integers(-2, 2))
+def test_engine_folds_match_mul_path(spec, n, ring, head):
+    assert any(isinstance(it, RuleFold) for it in spec.folds)
+    lengths = word_lengths(spec, n)
+    n = max(m for m in range(n + 1) if lengths[m] <= 1500)
+    x = _RINGS[ring]()
+    oracle = mul_path_matrices(spec, x, n)
+    engine = FoldEngine(spec, x)
+    assert [engine.matrix(m) for m in range(n + 1)] == oracle
+    col = FoldEngine(spec, x, column=True).with_head(n, head)
+    want = oracle[n].transpose().push(head).transpose()
+    assert (col.p, col.q) == (want.p, want.q)
+    closed = folding._column_closed(spec.folds)
+    if closed and n >= len(spec.bases) and isinstance(spec.folds[-1], RuleRef):
+        assert col.p_prev == col.q_prev == 0 * x  # a last join against a first column
+
+
+@pytest.mark.parametrize("name, top", [("dragon", 9), ("rho", 10), ("cubic", 5), ("quintic", 3)])
+def test_named_engines_match_mul_path(name, top):
+    spec = named_spec(name)
+    for x in (P.x(), 3, TruncatedSeries.x(40)):
+        oracle = mul_path_matrices(spec, x, top)
+        engine = FoldEngine(spec, x)
+        assert [engine.matrix(m) for m in range(top + 1)] == oracle
+        columns = FoldEngine(spec, x, column=True)
+        cols = [columns.matrix(m) for m in range(top + 1)]
+        assert [(c.p, c.q) for c in cols] == [(m.p, m.q) for m in oracle]
 
 
 # -- specialization -----------------------------------------------------------

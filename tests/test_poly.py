@@ -125,6 +125,9 @@ def test_kronecker_matches_schoolbook(a, b):
     out = _list_mul(a, b)
     assert out == _convolution(a, b)
     assert all(type(c) is int for c in out)
+    square = _list_mul(a, a)  # one operand twice: packed once and squared
+    assert square == _convolution(a, a)
+    assert all(type(c) is int for c in square)
 
 
 @pytest.mark.parametrize("k", [7, 15, 23, 31, 39, 47, 55, 63, 200])
@@ -157,7 +160,8 @@ def test_kronecker_bound_tight_on_sparse_operands(t):
 def test_fold_deep_top_products_use_three_byte_slots(monkeypatch):
     # the rho-theorem n = 16 check's largest products (about 21845 terms,
     # 7-bit by 0/1 coefficients) have a 17-19-bit bound: 3-byte slots, where
-    # rounding up to an ``array`` item size would take 4
+    # rounding up to an ``array`` item size would take 4; the top level's
+    # last join is against a first column, so there are four of them
     widths, slot_bytes = [], poly._slot_bytes
 
     def spy(a, b):
@@ -167,7 +171,7 @@ def test_fold_deep_top_products_use_three_byte_slots(monkeypatch):
     monkeypatch.setattr(poly, "_slot_bytes", spy)
     assert FOLD_CHECKS["rho-theorem"].run(16).holds
     top = [w for short, w in widths if short >= 21843]
-    assert len(top) == 8 and set(top) == {3}
+    assert len(top) == 4 and set(top) == {3}
 
 
 @given(
