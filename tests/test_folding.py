@@ -348,6 +348,7 @@ FOLD_TABLE = {
     "bases:[] ; rule: w1, x, -~w1, x, w1, x, -~w1, x, w1": (["w1", "w1"], True),
     "bases:[] ; rule: w1, x, -~w1, x, ~w1": (["w1"], False),
     "bases:[] ; rule: w1, x, -~w1, w1, x": (["w1"], False),
+    "bases:[] ; rule: w1, x, -x, -x": ([], False),  # x, -x, -x is led by a letter
 }
 
 
