@@ -377,15 +377,16 @@ def test_nested_run_is_folded_inside_u():
 
 @st.composite
 def planted_specs(draw):
-    """A run U, c, -~U (U of 1-3 items led by wN or -~wN) then a tail that
-    keeps the spec column-closed (for a one-item U = wN) or breaks it."""
+    """A run U, c, -~U (U of 1-3 items led by a reference: wN, -~wN, -wN or
+    ~wN) then a tail that keeps the spec column-closed (for a one-item
+    unreversed U) or breaks it."""
     bases = tuple(
         tuple(draw(st.lists(st.sampled_from((1, -1)), max_size=3)))
         for _ in range(draw(st.integers(1, 2)))
     )
     depths = st.integers(1, len(bases))
     refs = st.builds(RuleRef, depths, reverse=st.booleans(), negate=st.booleans())
-    lead = draw(st.builds(_ref, depths, st.booleans()))
+    lead = draw(refs)
     u = (lead, *draw(st.lists(st.one_of(st.sampled_from(_CONSTS), refs), max_size=2)))
     closed = ((), (RuleConst(1),), (RuleConst(-1, parity=True), _ref(1)), (RuleRef(1, negate=True),))
     open_ = ((_ref(1, True),), (_ref(1), RuleConst(-1)), (RuleConst(1), RuleRef(1, reverse=True)))
