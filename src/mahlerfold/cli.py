@@ -18,8 +18,6 @@ import sys
 import time
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import contfrac, curve, fiblucas, folding, hadamard
 from .identities import FOLD_CHECKS, REGISTRY
 from .poly import RationalFunction, parse_poly, parse_rational
@@ -127,6 +125,8 @@ def cmd_verify(args) -> int:
 def _parse_point(text: str):
     if "/" in text and "j" not in text and "i" not in text:
         return Fraction(text)
+    import mpmath as mp
+
     try:
         return mp.mpmathify(text)
     except TypeError:
@@ -154,6 +154,8 @@ def _parse_entry(e):
 
 
 def cmd_cf(args) -> int:
+    import mpmath as mp
+
     if args.cf_cmd == "eval":
         word = _parse_word_json(args.word)
         point = _parse_point(args.at) if args.at else None
@@ -350,6 +352,8 @@ def cmd_hadamard(args) -> int:
 
 
 def cmd_fib(args) -> int:
+    import mpmath as mp
+
     result = fiblucas.run_identity(args.id, args.terms)
     delta = result.delta_mp(args.bits)
     payload = {

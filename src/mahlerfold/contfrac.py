@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath as mp
-
 from .poly import Polynomial, RationalFunction, _exact_div
 from .quadfield import PHI, GaussianRational, QuadNum
 from .series import TruncatedSeries, expand_named
@@ -351,6 +349,8 @@ def limit_classify(values: Sequence, tol=None, start_parity: int = 0) -> LimitRe
     if len(values) < 8:
         raise ValueError("need at least 8 values to classify a limit")
     if tol is None:
+        import mpmath as mp
+
         tol = mp.mpf(10) ** -30
     tail = values[-6:]
     if _cauchy(tail, tol):
@@ -390,6 +390,8 @@ def rho_at_root_of_unity(n: int, a: int = 1, precision: int = 256):
         else:
             zeta = QuadNum(-1 if n else 1)
         return _unwind_rho(n, zeta, PHI)
+    import mpmath as mp
+
     with mp.workprec(precision):
         zeta = mp.e ** (2j * mp.pi * a / (1 << n))
         return _unwind_rho(n, zeta, PHI.to_mp())
@@ -397,6 +399,8 @@ def rho_at_root_of_unity(n: int, a: int = 1, precision: int = 256):
 
 def rho_sum_over_roots(n: int, precision: int = 256):
     """sum of rho over all primitive 2^n-th roots of unity (numeric, n >= 2)."""
+    import mpmath as mp
+
     with mp.workprec(precision):
         total = mp.mpc(0)
         for a in range(1, 1 << n, 2):
@@ -418,6 +422,8 @@ def product_to_H(x, terms: int, order: int, precision: int = 256, analogue: str 
     ``analogue="lambda"`` checks prod lambda+(x^(2^k)) against I(x) instead
     (the + variant is the one that converges inside the disk).
     """
+    import mpmath as mp
+
     with mp.workprec(precision):
         xv = mp.mpf(x) if not isinstance(x, (complex, mp.mpc)) else mp.mpc(x)
         if abs(xv) >= 1:

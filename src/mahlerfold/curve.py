@@ -14,7 +14,7 @@ import io
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat
 from operator import add, and_, setitem
 
 _TURNS = bytes(1 if b == 1 else 0xFF for b in range(256))  # a signed byte to its turn
@@ -22,6 +22,7 @@ _TURNS = bytes(1 if b == 1 else 0xFF for b in range(256))  # a signed byte to it
 _UNIT_STEPS = [bytes.maketrans(b"\0\1\2\3", t) for t in (b"\1\0\xff\0", b"\0\1\0\xff")]
 _GRID_BYTES_PER_EDGE = 16  # a fifth of what a set of int keys costs an edge
 _PREFIX_LETTERS = 1 << 12  # a longer word's first sixteenth is checked first
+_SET_BLOCK = 1 << 12  # keys a sparse box adds to its set at C level at a time
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,16 @@ def _first_repeat(word: bytes) -> int | None:
     In a box of width w and height h, vertex (x, y) is x + y(2w + 1) and an
     edge is keyed by half its ends' sum, rounded down.  Where a grid of the
     (2w + 1)(h + 1) keys costs at most _GRID_BYTES_PER_EDGE bytes an edge, a
-    path that marks one grid byte an edge has no repeat; any other path is
-    walked with a set of the keys seen, up to its first repeat.
+    path that marks one grid byte an edge has no repeat.  Any other path
+    fills a set of its keys _SET_BLOCK at a time, up to the first block that
+    adds fewer keys than it has; that block holds the first repeat, which a
+    key-by-key walk from a set of the earlier blocks' keys finds.
     """
     if len(word) > _PREFIX_LETTERS:
         hit = _first_repeat(word[: len(word) // 16])
         if hit is not None:
             return hit
-    headings = LatticePath(word).headings()
+    headings, edges = LatticePath(word).headings(), len(word) + 1
     minx, miny, maxx, maxy = _extent([headings])
     w, row = maxx - minx, 2 * (maxx - minx) + 1
     size = row * (maxy - miny + 1)
@@ -94,16 +97,22 @@ def _first_repeat(word: bytes) -> int | None:
         starts = accumulate(map(steps.__getitem__, headings), initial=-minx - miny * row)
         return map(add, starts, map(offsets.__getitem__, headings))
 
-    if size <= _GRID_BYTES_PER_EDGE * (len(word) + 1):
+    if size <= _GRID_BYTES_PER_EDGE * edges:
         marks = bytearray(size)
         deque(map(setitem, repeat(marks), keys(), repeat(1)), maxlen=0)
-        if marks.count(1) == len(word) + 1:
+        if marks.count(1) == edges:
             return None
-    seen = set()
-    for i, key in enumerate(keys()):
-        if key in seen:
-            return i
-        seen.add(key)
+    seen, walk = set(), keys()
+    for start in range(0, edges, _SET_BLOCK):
+        seen.update(islice(walk, _SET_BLOCK))
+        if len(seen) < min(start + _SET_BLOCK, edges):
+            seen.clear()
+            walk = keys()
+            seen.update(islice(walk, start))
+            for i, key in enumerate(walk, start):
+                if key in seen:
+                    return i
+                seen.add(key)
     return None
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-import mpmath as mp
-
 from .contfrac import MAX_RESULT_BITS_LOG2, IrregularCF, eval_irregular
 from .poly import Polynomial, RationalFunction, parse_rational
 from .quadfield import PHI, SQRT5, QuadNum
@@ -55,6 +53,14 @@ def lucas_binet_residual(n: int) -> QuadNum:
     return PHI**n + ((-PHI) ** n).inverse() - QuadNum(lucas(n), 0)
 
 
+def _abs_mp(value: QuadNum, precision: int):
+    """|value| embedded numerically at ``precision`` bits."""
+    import mpmath as mp
+
+    with mp.workprec(precision):
+        return abs(value.to_mp())
+
+
 class PoleHit(ArithmeticError):
     def __init__(self, term: int):
         super().__init__(f"rational function has a pole at x0^(k^{term})")
@@ -76,8 +82,7 @@ class TelescopeReport:
     terms: int
 
     def residual_mp(self, precision: int = 256):
-        with mp.workprec(precision):
-            return abs(self.residual.to_mp())
+        return _abs_mp(self.residual, precision)
 
 
 def telescope_sum(f: RationalFunction, k: int, x0: QuadNum, terms: int) -> TelescopeReport:
@@ -105,8 +110,7 @@ class ProductSumReport:
     terms: int
 
     def residual_mp(self, precision: int = 256):
-        with mp.workprec(precision):
-            return abs((self.value - self.partial).to_mp())
+        return _abs_mp(self.value - self.partial, precision)
 
 
 def telescope_product_sum(
@@ -150,8 +154,7 @@ class IdentityResult:
     terms: int
 
     def delta_mp(self, precision: int = 256):
-        with mp.workprec(precision):
-            return abs((self.expected - self.computed).to_mp())
+        return _abs_mp(self.expected - self.computed, precision)
 
     def within(self, bits: int) -> bool:
         """|expected - computed| < 2^-bits, decided exactly."""
@@ -171,17 +174,13 @@ class CFRow:
     num: object  # n -> Fraction, n >= 1
     den: object  # n -> Fraction, n >= 1
     value: Fraction
-    fgh: tuple[RationalFunction, RationalFunction, RationalFunction] | None = None
+    fgh: tuple[str, str, str] | None = None  # f, g, h as text, parsed when checked
 
     def evaluate(self, terms: int) -> Fraction:
         if terms < 4:
             raise ValueError("need at least 4 terms")
         pairs = tuple((self.num(n), self.den(n)) for n in range(1, terms + 1))
         return eval_irregular(IrregularCF(self.head, pairs))
-
-
-def _rf(text: str) -> RationalFunction:
-    return parse_rational(text, var="x")
 
 
 def _f2n(n: int) -> int:
@@ -198,28 +197,28 @@ CF_TABLE: dict[str, CFRow] = {
         lambda n: 2 * _l2n(n - 1) ** 2,
         lambda n: _l2n(n),
         Fraction(7, 5),
-        (_rf("(1+x)^2/x"), _rf("(1+x^2)/x"), _rf("2*(1+x^2)^2/x^2")),
+        ("(1+x)^2/x", "(1+x^2)/x", "2*(1+x^2)^2/x^2"),
     ),
     "table-1": CFRow(
         Fraction(lucas(1)),
         lambda n: -10 * _f2n(n - 1) ** 2,
         lambda n: _l2n(n),
         Fraction(-9),
-        (_rf("(1-x)^2/x"), _rf("(1+x^2)/x"), _rf("-2*(1-x^2)^2/x^2")),
+        ("(1-x)^2/x", "(1+x^2)/x", "-2*(1-x^2)^2/x^2"),
     ),
     "table-2": CFRow(
         Fraction(lucas(1) ** 2),
         lambda n: -20 * _f2n(n) ** 2,
         lambda n: _l2n(n) ** 2,
         Fraction(-3),
-        (_rf("(1-x^2)^2/x^2"), _rf("(1+x^2)^2/x^2"), _rf("-4*(1-x^4)^2/x^4")),
+        ("(1-x^2)^2/x^2", "(1+x^2)^2/x^2", "-4*(1-x^4)^2/x^4"),
     ),
     "table-3": CFRow(
         Fraction(lucas(1) ** 2),
         lambda n: -2 * _l2n(n + 1),
         lambda n: _l2n(n) ** 2,
         Fraction(-1),
-        (_rf("(1+x^4)/x^2"), _rf("(1+x^2)^2/x^2"), _rf("-2*(1+x^8)/x^4")),
+        ("(1+x^4)/x^2", "(1+x^2)^2/x^2", "-2*(1+x^8)/x^4"),
     ),
     # the f column solves f = g + h/f(x^2) for the stated g and h
     "table-4": CFRow(
@@ -227,21 +226,21 @@ CF_TABLE: dict[str, CFRow] = {
         lambda n: _l2n(n - 1) ** 2,
         lambda n: 1 + _l2n(n),
         Fraction(11, 5),
-        (_rf("(1+x)^2/x"), _rf("1+(1+x^2)/x"), _rf("(1+x^2)^2/x^2")),
+        ("(1+x)^2/x", "1+(1+x^2)/x", "(1+x^2)^2/x^2"),
     ),
     "table-5": CFRow(
         Fraction(5 * fib(1) ** 2),
         lambda n: 2 * _l2n(n + 1),
         lambda n: 5 * _f2n(n) ** 2,
         Fraction(7),
-        (_rf("(1+x^4)/x^2"), _rf("(1-x^2)^2/x^2"), _rf("2*(1+x^8)/x^4")),
+        ("(1+x^4)/x^2", "(1-x^2)^2/x^2", "2*(1+x^8)/x^4"),
     ),
     "table-6": CFRow(
         Fraction(1 + 5 * fib(1) ** 2),
         lambda n: 3 * _l2n(n) ** 2,
         lambda n: 1 + 5 * _f2n(n) ** 2,
         Fraction(9),
-        (_rf("(1+x^2)^2/x^2"), _rf("1+(1-x^2)^2/x^2"), _rf("3*(1+x^4)^2/x^4")),
+        ("(1+x^2)^2/x^2", "1+(1-x^2)^2/x^2", "3*(1+x^4)^2/x^4"),
     ),
 }
 
@@ -261,7 +260,7 @@ def cf_row_entry_check(key: str, levels: int = 6) -> bool:
     f(x) = g(x) + h(x)/f(x^2), and g, h evaluated at phi^(-2^n) reproduce the
     integer CF entries for n >= 1."""
     entry = CF_TABLE[key]
-    f, g, h = entry.fgh
+    f, g, h = (parse_rational(text, var="x") for text in entry.fgh)
     lhs = f - g
     rhs = RationalFunction(Polynomial.constant(1)) / f.substitute_power(2) * h
     if lhs != rhs:

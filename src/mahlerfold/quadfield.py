@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath as mp
-
 from .poly import _coerced, _Exact, _power
 
 
 def _mpf(q: Fraction):
+    import mpmath as mp
+
     return mp.mpf(q.numerator) / q.denominator
 
 
@@ -106,7 +106,9 @@ class GaussianRational(_Quadratic):
     re = property(lambda self: self.a)
     im = property(lambda self: self.b)
 
-    def to_mpc(self) -> mp.mpc:
+    def to_mpc(self):
+        import mpmath as mp
+
         return mp.mpc(_mpf(self.a), _mpf(self.b))
 
     def __repr__(self):
@@ -139,6 +141,8 @@ class QuadNum(_Quadratic):
 
     def to_mp(self):
         """Embed numerically at the current mpmath precision."""
+        import mpmath as mp
+
         s5 = mp.sqrt(5)
         if isinstance(self.a, GaussianRational):
             return self.a.to_mpc() + self.b.to_mpc() * s5

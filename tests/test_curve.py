@@ -80,6 +80,28 @@ def test_sparse_boxes_match_reference(name):
     assert_matches_reference(word)
 
 
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+@pytest.mark.parametrize("name", ["cubic-alt", "quintic", "rational-ex"])
+def test_planted_repeats_in_sparse_boxes_match_reference(monkeypatch, name, block):
+    # four left turns close a unit square, so edge p + 4 redraws edge p at the
+    # latest; planted before the word's own first repeat, it moves that repeat
+    # into any block of the set's fill, and a 7-key block puts it past many
+    if block is not None:
+        monkeypatch.setattr(curve, "_SET_BLOCK", block)
+    n = 0
+    while word_lengths(name, n + 1)[-1] <= 20_000:
+        n += 1
+    word = list(iterate_fold(name, n))
+    assert grid_bytes_per_edge(reference_vertices(word)) > curve._GRID_BYTES_PER_EDGE
+    own = reference_crossing(reference_vertices(word))
+    rng = random.Random(name)
+    for p in [0, *rng.sample(range((own or len(word)) - 4), 12)]:
+        planted = word[:p] + [1, 1, 1, 1] + word[p + 4:]
+        hit = self_crossing(path_from_signs(planted))
+        assert hit is not None and hit <= p + 4
+        assert hit == reference_crossing(reference_vertices(planted))
+
+
 @pytest.mark.parametrize("tail", [[], [1, 1, 1, 1]], ids=["open", "closing-loop"])
 def test_staircase_matches_reference(tail):
     # alternating turns walk a diagonal, so the box grows as the square of the
