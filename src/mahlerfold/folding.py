@@ -10,8 +10,9 @@ computed through the recursion itself, so they stay cheap even when the words
 grow exponentially; the computation is generic over the coefficient ring
 (polynomials, truncated series, exact rationals, ints, big floats).  Each run
 U, c, -~U of a rule (dragon, rho, cubic and quintic have one) is found when
-the spec is built and costs the Folding Lemma's two squares and one product
-from U's first column; a check that reads only (p, q) keeps first columns.
+the spec is built.  Words, lengths and matrices read a rule from the left, and
+a run costs the Folding Lemma's two squares and one product; a check that reads
+only (p, q) pushes e1 through it from the right, at four products a run.
 """
 
 from __future__ import annotations
@@ -83,11 +84,11 @@ def _find_folds(rule: tuple) -> tuple:
 
 
 def _column_closed(items: tuple) -> bool:
-    """Whether every reference is, alone and unreversed, a fold's U or the last
-    item, so a level's first column needs only those of earlier levels."""
+    """Whether every reference is unreversed and last in the rule or in a
+    fold's U, so a level's first column needs only those of earlier levels."""
     return all(
         isinstance(it, RuleConst)
-        or (isinstance(it, RuleFold) and len(it.u) == 1 and _column_closed(it.u))
+        or (isinstance(it, RuleFold) and _column_closed(it.u))
         or (i == len(items) - 1 and isinstance(it, RuleRef) and not it.reverse)
         for i, it in enumerate(items)
     )
@@ -251,30 +252,31 @@ def resolve_spec(spec) -> FoldSpec:
 # ---------------------------------------------------------------------------
 
 
-def _unfold(spec: FoldSpec, empty, letter, join, fold=None):
+def _unfold(spec: FoldSpec, empty, letter, join, fold=None, step: int = 1):
     """Yield the images of w_0, w_1, ... under a map that respects the rule.
 
     The one interpreter of the fold rule.  ``empty()`` is a fresh image of
-    the empty word, ``letter(acc, s)`` appends the letter s*x (s = +1 or -1)
-    to an image and ``join(acc, image, ref)`` appends the image of a word
+    the empty word, ``letter(acc, s)`` adds the letter s*x (s = +1 or -1)
+    to an image and ``join(acc, image, ref)`` adds the image of a word
     reversed and negated as the RuleRef ``ref`` says; ``fold(acc, image, s)``,
-    if given, appends a run U, s*x, -~U of ``spec.folds`` from U's image.
-    Only the images that the rule can still refer to (the last ``max_depth``)
-    are kept.
+    if given, adds a run U, s*x, -~U of ``spec.folds`` from U's image.  Items
+    are added at the right end, or with ``step=-1`` read from the right end and
+    added at the left.  Only the images that the rule can still refer to (the
+    last ``max_depth``) are kept.
     """
     window: deque = deque(maxlen=max(spec.max_depth(), 1))
     rule = spec.folds if fold else spec.rule
     for m in count():
-        items = map(RuleConst, spec.bases[m]) if m < len(spec.bases) else rule
-        window.append(_read(items, m, window, (empty, letter, join, fold)))
+        items = tuple(map(RuleConst, spec.bases[m])) if m < len(spec.bases) else rule
+        window.append(_read(items, m, window, (empty, letter, join, fold, step)))
         yield window[-1]
 
 
 def _read(items, m: int, window, maps):
     """The image of ``items`` in word m (see ``_unfold``)."""
-    empty, letter, join, fold = maps
+    empty, letter, join, fold, step = maps
     acc = empty()
-    for it in items:
+    for it in items[::step]:
         if isinstance(it, RuleFold):
             c = it.const
             acc = fold(acc, _read(it.u, m, window, maps), -c.sign if c.parity and m % 2 else c.sign)
@@ -338,14 +340,12 @@ def word_lengths(spec, n: int) -> list[int]:
     return list(islice(lengths, max(n + 1, 0)))
 
 
-def _continuant_images(spec: FoldSpec, x, column: bool = False):
+def _continuant_images(spec: FoldSpec, x):
     """(continuant matrix, length) of w_0, w_1, ... with x the ring image of
     the letter x.  Negated references use N(-w) = (-1)^len(w) D N(w) D with
     D = diag(1, -1), which is exact for Key Lemma products; reversal is the
-    transpose.  A run U, c, -~U costs three products (``fold_matrix``); with
-    ``column`` a reference is read as its first column (second column zero),
-    so a join costs four products, exact for a column-closed spec."""
-    minus_x, zero, ident = -x, x * 0, _identity_like(x)
+    transpose.  A run U, c, -~U costs three products (``fold_matrix``)."""
+    minus_x, ident = -x, _identity_like(x)
 
     def letter(acc, s):
         mat, length = acc
@@ -356,8 +356,6 @@ def _continuant_images(spec: FoldSpec, x, column: bool = False):
 
     def join(acc, image, ref):
         ref_mat, ref_len = image
-        if column:
-            ref_mat = ContinuantMatrix(ref_mat.p, zero, ref_mat.q, zero)
         if ref.reverse:
             ref_mat = ref_mat.transpose()
         if ref.negate:
@@ -373,19 +371,49 @@ def _continuant_images(spec: FoldSpec, x, column: bool = False):
     return _unfold(spec, lambda: (ident, 0), letter, join, fold)
 
 
+def _column_images(spec: FoldSpec, x):
+    """(first column as a matrix (p, 0; q, 0), length) of w_0, w_1, ... for a
+    column-closed spec: e1 = (1, 0) pushed through each rule from its right
+    end, so a reference is read only from e1 and gives its own column
+    (N(-w) e1 = (-1)^len(w) D N(w) e1).  A letter t maps v to (t v1 + v2, v1);
+    a run U, t, -~U is ``fold_matrix`` as st (a; c)(a, -c) + J with (a, c)
+    U's column and J = (0, 1; 1, 0): four products of U's column with v."""
+    minus_x, zero = -x, x * 0
+
+    def letter(acc, s):
+        (v1, v2, length), t = acc, x if s > 0 else minus_x
+        return t * v1 + v2, v1, length + 1
+
+    def join(acc, image, ref):
+        p, q, length = image
+        if ref.negate:
+            p, q = (-p, q) if length % 2 else (p, -q)
+        return p, q, acc[2] + length
+
+    def fold(acc, image, s):
+        (v1, v2, length), (a, c, u_len) = acc, image
+        w = (x if (s > 0) ^ (u_len % 2) else minus_x) * (a * v1 - c * v2)  # st (a v1 - c v2)
+        return a * w + v2, c * w + v1, length + 2 * u_len + 1
+
+    images = _unfold(spec, lambda: (zero + 1, zero, 0), letter, join, fold, step=-1)
+    return ((ContinuantMatrix(p, zero, q, zero), length) for p, q, length in images)
+
+
 class FoldEngine:
     """Computes continuants of w_n for a fold spec over an arbitrary ring.
 
     ``x`` is the ring image of the letter x.  Levels are pulled from the
-    fold-rule interpreter on demand and cached.  A ``column`` engine promises
-    only first columns (p, q); for a column-closed spec (rho, dragon) it keeps
-    nothing else, so a level's last join costs four products, not eight.
+    fold-rule interpreter on demand and cached; full matrices are built with
+    the rule read from the left.  A ``column`` engine promises only first
+    columns (p, q); for a column-closed spec (rho, dragon) it reads each rule
+    from the right (``_column_images``), so every operand is a column.
     """
 
     def __init__(self, spec, x, column: bool = False):
         self.spec = resolve_spec(spec)
         self.x = x
-        self._images = _continuant_images(self.spec, x, column and _column_closed(self.spec.folds))
+        closed = column and _column_closed(self.spec.folds)
+        self._images = (_column_images if closed else _continuant_images)(self.spec, x)
         self._cache: list = []
 
     def matrix(self, n: int) -> ContinuantMatrix:
@@ -398,8 +426,8 @@ class FoldEngine:
 
     def with_head(self, n: int, head) -> ContinuantMatrix:
         """Continuant matrix of [head; w_n]: the Key Lemma factor of the head
-        pushed on the left, as a right push on the transpose."""
-        return self.matrix(n).transpose().push(head).transpose()
+        times that of w_n."""
+        return ContinuantMatrix(head, 1, 1, 0).mul(self.matrix(n))
 
 
 def fold_continuants(spec, n: int, head: Polynomial | None = None) -> ContinuantMatrix:

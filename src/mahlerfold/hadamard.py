@@ -248,25 +248,19 @@ def hadamard_mahler_probe(
 
 def _nullspace_first(h: TruncatedSeries, k: int, d: int, deg_max: int):
     """First nullspace vector (cleared to integers) of the annihilation
-    system, or None when only the trivial solution exists."""
+    system, or None when only the trivial solution exists; the rows are
+    built as the solver asks for them."""
     ncols = (d + 1) * (deg_max + 1)
-    order = h.order
-    rows = []
-    for n in range(order + 1):
-        row = [0] * ncols
-        nonzero = False
-        for i in range(d + 1):
-            ki = k**i
-            for j in range(deg_max + 1):
-                if j > n:
-                    break
-                if (n - j) % ki:
-                    continue
-                idx = (n - j) // ki
-                c = h.coeffs[idx]
-                if c:
-                    row[i * (deg_max + 1) + j] += c
-                    nonzero = True
-        if nonzero:
-            rows.append(row)
-    return first_null_vector(rows, ncols)
+
+    def rows():
+        for n in range(h.order + 1):
+            row = [0] * ncols
+            for i in range(d + 1):
+                ki = k**i
+                for j in range(min(deg_max, n) + 1):
+                    if (n - j) % ki == 0:
+                        row[i * (deg_max + 1) + j] = h.coeffs[(n - j) // ki]
+            if any(row):
+                yield row
+
+    return first_null_vector(rows(), ncols)

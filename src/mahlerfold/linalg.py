@@ -1,8 +1,8 @@
 """Exact linear algebra over Q: one Gauss-Jordan elimination and the rank
 and null-vector queries built on it.
 
-Matrices are lists of rows whose entries are ``int`` or ``Fraction``; every
-routine that eliminates reduces the rows it is given in place.
+Matrices are lists of rows whose entries are ``int`` or ``Fraction``;
+``rref`` and ``rank`` reduce the rows they are given in place.
 
 ``first_null_vector`` first computes the rank modulo the prime p = 2^61 - 1.
 A minor that is nonzero mod p is nonzero over Q, so the rank mod p is a lower
@@ -46,13 +46,13 @@ def rref(rows: list[list], ncols: int) -> dict[int, list]:
 _P = (1 << 61) - 1  # a Mersenne prime
 
 
-def _rank_mod_p(rows: list[list], ncols: int) -> int | None:
+def _rank_mod_p(rows, ncols: int) -> int | None:
     """Rank mod _P of the matrix ``rows`` with ``ncols`` columns, or None when
     some Fraction entry has a denominator divisible by _P.
 
     Rows are inserted one at a time into an echelon basis {pivot column: row
-    with pivot entry 1}, stopping once it holds ``ncols`` rows; ``rows`` is
-    left as it is.
+    with pivot entry 1}, stopping once it holds ``ncols`` rows; ``rows`` (any
+    iterable) is left as it is.
     """
     basis = {}
     for row in rows:
@@ -84,12 +84,14 @@ def rank(rows: list[list], ncols: int) -> int:
     return len(rref(rows, ncols))
 
 
-def first_null_vector(rows: list[list], ncols: int) -> list[int] | None:
+def first_null_vector(rows, ncols: int) -> list[int] | None:
     """Primitive integer kernel vector for the first free column, or None when
-    the kernel is trivial."""
-    if _rank_mod_p(rows, ncols) == ncols:
+    the kernel is trivial.  ``rows`` may be an iterator: the rank mod p takes
+    rows only until it is full, and the rest are built only if it is not."""
+    rows, seen = iter(rows), []
+    if _rank_mod_p((seen.append(row) or row for row in rows), ncols) == ncols:
         return None
-    pivots = rref(rows, ncols)
+    pivots = rref(seen + list(rows), ncols)
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None

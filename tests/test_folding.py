@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mahlerfold import folding
@@ -395,7 +395,12 @@ def planted_specs(draw):
     return FoldSpec(bases, (*u, c, *map(folding._mirror, reversed(u)), *tail))
 
 
-_RINGS = {"Z": lambda: -2, "Q[x]": P.x, "series": lambda: TruncatedSeries.x(24)}
+_RINGS = {
+    "Z": lambda: -2,
+    "Q[x]": P.x,
+    "series": lambda: TruncatedSeries.x(24),
+    "Fraction": lambda: Fraction(-3, 2),
+}
 
 
 @settings(max_examples=90, deadline=None)
@@ -411,9 +416,8 @@ def test_engine_folds_match_mul_path(spec, n, ring, head):
     col = FoldEngine(spec, x, column=True).with_head(n, head)
     want = oracle[n].transpose().push(head).transpose()
     assert (col.p, col.q) == (want.p, want.q)
-    closed = folding._column_closed(spec.folds)
-    if closed and n >= len(spec.bases) and isinstance(spec.folds[-1], RuleRef):
-        assert col.p_prev == col.q_prev == 0 * x  # a last join against a first column
+    if folding._column_closed(spec.folds):
+        assert col.p_prev == col.q_prev == 0 * x  # the walk keeps first columns alone
 
 
 @pytest.mark.parametrize("name, top", [("dragon", 9), ("rho", 10), ("cubic", 5), ("quintic", 3)])
@@ -545,6 +549,31 @@ def test_ij_coefficient_range():
     i_s, j_s = ij_series(96)
     assert set(i_s.coeffs) <= {0, 1, -1}
     assert set(j_s.coeffs) <= {0, 1, -1}
+
+
+def _special_chain(consts) -> FoldSpec:
+    """w1, c1, -~w1, c2, w1, ... with the constants c_i = +-x."""
+    items = ["w1"]
+    for i, c in enumerate(consts, start=1):
+        items += ["x" if c > 0 else "-x", "-~w1" if i % 2 else "w1"]
+    return parse_fold_spec("bases:[] ; rule: " + ", ".join(items))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=7), st.integers(0, 4),
+       st.sampled_from(sorted(_RINGS)))
+@example([1, 1, -1], 4, "Q[x]")  # w1, x, -~w1, x, w1, -x, -~w1: a fold nested in U
+@example([1] * 7, 4, "Fraction")
+def test_column_walk_matches_mul_path_on_special_chains(consts, n, ring):
+    spec = _special_chain(consts)
+    lengths = word_lengths(spec, n)
+    if ring == "Q[x]":  # its mul path takes 20 s at the 8-reference chain's 4095 letters
+        n = max(m for m in range(n + 1) if lengths[m] <= 700)
+    x = _RINGS[ring]()
+    columns = FoldEngine(spec, x, column=True)
+    got = [columns.matrix(m) for m in range(n + 1)]
+    assert [(c.p, c.q) for c in got] == [(m.p, m.q) for m in mul_path_matrices(spec, x, n)]
+    assert folding._column_closed(spec.folds)
 
 
 # -- special recursions -------------------------------------------------------

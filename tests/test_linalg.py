@@ -3,12 +3,13 @@ its modular front end."""
 
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerfold import linalg
+from mahlerfold import hadamard, linalg
 from mahlerfold.hadamard import hadamard_mahler_probe
 from mahlerfold.linalg import first_null_vector, rank
 from mahlerfold.poly import parse_rational
@@ -54,6 +55,7 @@ def test_rank_matches_sympy(a):
 def test_first_null_vector_matches_sympy(a):
     n = len(a[0])
     v = first_null_vector(_copy(a), n)
+    assert first_null_vector(iter(_copy(a)), n) == v  # rows on demand, same answer
     basis = _sym(a).nullspace()
     if not basis:
         assert v is None
@@ -70,6 +72,31 @@ def test_first_null_vector_matches_sympy(a):
     scale = Fraction(v[i]) / Fraction(int(first[i].p), int(first[i].q))
     assert scale > 0
     assert all(Fraction(v[j]) == scale * Fraction(int(first[j].p), int(first[j].q)) for j in range(n))
+
+
+def test_full_rank_rows_are_taken_only_until_the_rank_is_full():
+    def rows(limit):
+        for i in range(limit):
+            yield [int(i == j) for j in range(3)]
+        raise AssertionError(f"row {limit} was asked for")
+
+    assert first_null_vector(rows(3), 3) is None
+    assert first_null_vector([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) is None
+
+
+def test_probe_builds_rows_only_until_the_rank_is_full():
+    # h = sum 2^n q^n over n = 2^j, the Hadamard product of pow2 and
+    # 1/(1 - 2q); its d = 4, deg 8 system has full rank after rows that read
+    # h to index 130, and a coefficient read past 256 raises
+    class Guarded(list):
+        def __getitem__(self, i):
+            assert i <= 256, f"coefficient {i} was read"
+            return list.__getitem__(self, i)
+
+    order = 512
+    coeffs = [1 << n if n and n & (n - 1) == 0 else 0 for n in range(order + 1)]
+    h = SimpleNamespace(order=order, coeffs=Guarded(coeffs))
+    assert hadamard._nullspace_first(h, 2, 4, 8) is None
 
 
 def test_empty_and_zero_systems():

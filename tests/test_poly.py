@@ -157,11 +157,11 @@ def test_kronecker_bound_tight_on_sparse_operands(t):
     assert out[len(a) - 1] == max(out) == t and min(out) == 0 and sum(out) == t * t
 
 
-def test_fold_deep_top_products_use_three_byte_slots(monkeypatch):
-    # the rho-theorem n = 16 check's largest products (about 21845 terms,
-    # 7-bit by 0/1 coefficients) have a 17-19-bit bound: 3-byte slots, where
-    # rounding up to an ``array`` item size would take 4; the top level's
-    # last join is against a first column, so there are four of them
+def test_fold_deep_products_follow_the_column_walk(monkeypatch):
+    # the rho-theorem n = 16 check walks each rule from the right, so no
+    # product has two operands of the top level's size (about 21845 terms);
+    # its largest products pair a ~10923-term column with 0/1 coefficients
+    # against one of at most 32769 terms, whose bound fits 1- or 2-byte slots
     widths, slot_bytes = [], poly._slot_bytes
 
     def spy(a, b):
@@ -170,8 +170,9 @@ def test_fold_deep_top_products_use_three_byte_slots(monkeypatch):
 
     monkeypatch.setattr(poly, "_slot_bytes", spy)
     assert FOLD_CHECKS["rho-theorem"].run(16).holds
-    top = [w for short, w in widths if short >= 21843]
-    assert len(top) == 4 and set(top) == {3}
+    assert not [w for short, w in widths if short >= 21843]
+    top = [w for short, w in widths if short >= 10920]
+    assert top and max(top) <= 2
 
 
 @given(
