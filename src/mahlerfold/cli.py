@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import contfrac, curve, fiblucas, folding, hadamard
 from .identities import FOLD_CHECKS, REGISTRY
 from .poly import RationalFunction, parse_poly, parse_rational
-from .series import NAMED_SERIES, TruncatedSeries, expand_named
+from .series import NAMED_SERIES, TruncatedSeries, check_size, expand_named
 
 SCHEMA = 1
 
@@ -287,15 +287,11 @@ def cmd_curve(args) -> int:
 
 def _series_from_spec(text: str, order: int) -> TruncatedSeries:
     """Named series (F/G/H/I), 'pow2' (sum of q^(2^n)), or a rational expr."""
+    check_size("order", order)
     if text in NAMED_SERIES:
         return expand_named(text, order)
     if text == "pow2":
-        coeffs = [0] * (order + 1)
-        j = 1
-        while j <= order:
-            coeffs[j] = 1
-            j <<= 1
-        return TruncatedSeries(coeffs, order)
+        return TruncatedSeries([int(n > 0 and not n & (n - 1)) for n in range(order + 1)], order)
     return TruncatedSeries.from_rational(parse_rational(text), order)
 
 
@@ -315,7 +311,7 @@ def cmd_hadamard(args) -> int:
         _emit(payload, args.json)
         return 0
     if args.hadamard_cmd == "kernel":
-        seq = _series_from_spec(args.seq, args.length - 1).coeffs
+        seq = _series_from_spec(args.seq, check_size("length", args.length) - 1).coeffs
         report = hadamard.k_kernel(seq, args.k, args.depth)
         _emit(
             {

@@ -608,14 +608,10 @@ def ij_series(order: int):
     """
     src_order = 2 * ((order + 2) // 3) + 2
     ft, gt = tilde_transforms(src_order)
-    i_coeffs = [0] * (order + 1)
-    j_coeffs = [0] * (order + 1)
-    for k in range(order // 3 + 1):
-        if 3 * k + 1 <= order and 2 * k <= ft.order:
-            i_coeffs[3 * k + 1] = ft.coeffs[2 * k]
-        if 3 * k + 2 <= order and 2 * k <= gt.order:
-            j_coeffs[3 * k + 2] = gt.coeffs[2 * k]
-    return TruncatedSeries(i_coeffs, order), TruncatedSeries(j_coeffs, order)
+    i_coeffs, j_coeffs = [0] * (order + 1), [0] * (order + 1)
+    i_coeffs[1::3] = ft.coeffs[::2][: (order + 2) // 3]  # ft, gt reach far enough
+    j_coeffs[2::3] = gt.coeffs[::2][: (order + 1) // 3]
+    return TruncatedSeries._of(tuple(i_coeffs), order), TruncatedSeries._of(tuple(j_coeffs), order)
 
 
 def ij_system_check(order: int) -> IJReport:
@@ -628,8 +624,11 @@ def ij_system_check(order: int) -> IJReport:
     eq2 = j_s - (i_s.substitute_power(2) - g6.shift(5))
     it1 = i_s - (i_s.substitute_power(4) + g6.shift(1) - g12.shift(10))
     it2 = j_s - (j_s.substitute_power(4) - g6.shift(5) + g12.shift(2))
-    nonzero = (i for r in (eq1, eq2, it1, it2) for i, c in enumerate(r.coeffs) if c)
-    out_of_range = (i for s in (i_s, j_s) for i, c in enumerate(s.coeffs) if c not in (0, 1, -1))
+    residuals, units = (eq1, eq2, it1, it2), {0, 1, -1}
+    if all(r.is_zero() for r in residuals) and all(units.issuperset(s.coeffs) for s in (i_s, j_s)):
+        return IJReport(order, None)
+    nonzero = (i for r in residuals for i, c in enumerate(r.coeffs) if c)
+    out_of_range = (i for s in (i_s, j_s) for i, c in enumerate(s.coeffs) if c not in units)
     return IJReport(order, min(chain(nonzero, out_of_range), default=None))
 
 

@@ -8,7 +8,7 @@ from math import lcm
 
 from .linalg import first_null_vector, rank
 from .poly import Polynomial, RationalFunction, _to_int_coeffs
-from .series import MahlerEquation, TruncatedSeries
+from .series import MahlerEquation, TruncatedSeries, check_size, solve_mahler
 
 
 def hadamard_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -89,20 +89,14 @@ def k_kernel(seq, k: int, depth: int) -> KernelReport:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     seq = list(seq)
-    ke = k**depth
+    ke = k**depth if depth < len(seq).bit_length() else len(seq) + 1  # else k^depth > len(seq)
     max_len = (len(seq) - ke) // ke + 1 if len(seq) >= ke else 0
     if max_len < 16:
         raise ValueError(
             f"prefix of length {len(seq)} shows only {max_len} terms at depth {depth}; need >= 16"
         )
-    width = max_len
-    rows = []
-    for e in range(depth + 1):
-        step = k**e
-        for r in range(step):
-            rows.append(tuple(seq[r + step * i] for i in range(width)))
-    distinct = set(rows)
-    return KernelReport(k, depth, len(distinct), rank([list(row) for row in distinct], width))
+    distinct = {tuple(seq[r :: k**e][:max_len]) for e in range(depth + 1) for r in range(k**e)}
+    return KernelReport(k, depth, len(distinct), rank([list(row) for row in distinct], max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +150,7 @@ def _step3(eq: MahlerEquation) -> MahlerEquation:
     """Subtract the q -> q^k image to remove a constant inhomogeneity."""
     k = eq.k
     old = eq.coeffs
-    d = len(old) - 1
-    new = [Polynomial.zero()] * (d + 2)
-    for i, ai in enumerate(old):
-        new[i] = new[i] + ai
+    new = [*old, Polynomial.zero()]
     for i, ai in enumerate(old):
         new[i + 1] = new[i + 1] - ai.substitute_power(k)
     return MahlerEquation(
@@ -169,31 +160,19 @@ def _step3(eq: MahlerEquation) -> MahlerEquation:
 
 def recombine_becker(eq: MahlerEquation, pieces: list[BeckerPiece], order: int) -> TruncatedSeries:
     """Solve each piece's constant equation and reassemble sum q^n_j g_j."""
-    from .series import solve_mahler
-
     total = TruncatedSeries.zero(order)
     for piece in pieces:
-        if piece.constant_equation is eq:
-            g = solve_mahler(eq, order)
-        else:
-            norm = piece.constant_equation.normalization
-            ceq = piece.constant_equation
-            if norm is None:
-                ceq = MahlerEquation(
-                    ceq.k, ceq.coeffs, ceq.inhomogeneous, _forced_or_zero(ceq)
-                )
-            g = solve_mahler(ceq, order)
-        total = total + g.shift(piece.shift)
+        ceq = piece.constant_equation
+        if ceq is not eq and ceq.normalization is None:
+            ceq = MahlerEquation(ceq.k, ceq.coeffs, ceq.inhomogeneous, _forced_or_zero(ceq))
+        total = total + solve_mahler(ceq, order).shift(piece.shift)
     return total
 
 
 def _forced_or_zero(eq: MahlerEquation):
     """Normalization for a shifted piece: g(0) is forced unless the constant
     column vanishes, in which case 0 is the natural choice."""
-    coef = sum(ai.coeff(0) for ai in eq.coeffs)
-    if coef:
-        return None  # determined by the equation itself
-    return 0
+    return None if sum(ai.coeff(0) for ai in eq.coeffs) else 0  # None: the equation fixes g(0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +211,7 @@ def hadamard_mahler_probe(
         raise ValueError("k must be >= 2")
     if order > f.order:
         raise ValueError("order exceeds the truncation order of f")
+    check_size("the probe system's entry count", (order + 1) * (d_max + 1) * (deg_max + 1))
     h = hadamard_product(f, TruncatedSeries.from_rational(g, f.order)).truncate(order)
     for d in range(d_max + 1):
         sol = _nullspace_first(h, k, d, deg_max)

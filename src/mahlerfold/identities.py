@@ -164,7 +164,8 @@ def _check_rho_theorem(max_level: int) -> IdentityReport:
 
 def _check_fg_mahler(order: int) -> IdentityReport:
     res_f, res_g = folding.rho_word_equations(order)
-    first = next((i for i, pair in enumerate(zip(res_f.coeffs, res_g.coeffs)) if any(pair)), None)
+    first = None if res_f.is_zero() and res_g.is_zero() else next(
+        i for i, pair in enumerate(zip(res_f.coeffs, res_g.coeffs)) if any(pair))
     return IdentityReport("fg-mahler", first is None, first, order)
 
 

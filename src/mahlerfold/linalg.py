@@ -4,13 +4,24 @@ and null-vector queries built on it.
 Matrices are lists of rows whose entries are ``int`` or ``Fraction``;
 ``rref`` and ``rank`` reduce the rows they are given in place.
 
-``first_null_vector`` first computes the rank modulo the prime p = 2^61 - 1.
-A minor that is nonzero mod p is nonzero over Q, so the rank mod p is a lower
-bound on the rank over Q; when it already equals the number of columns, it
-proves the kernel trivial.  Only the other cases run the exact elimination.
+``first_null_vector`` first brings the rows to echelon form modulo the prime
+p = 2^61 - 1.  A minor that is nonzero mod p is nonzero over Q, so when the
+rank mod p equals the number of columns the kernel is trivial.  Otherwise
+the columns before the first free column f mod p are independent mod p,
+hence over Q.  The kernel vector mod p with support in [0, f] and v[f] = 1
+is lifted entry by entry to fractions n/d with |n|, d <= sqrt(p/2)
+(rational reconstruction, von zur Gathen and Gerhard, *Modern Computer
+Algebra*, 5.10) and cleared to integers.  If A v = 0 then holds exactly on
+every row, f is the first free column over Q and v, the one kernel vector
+with support in [0, f] and v[f] > 0 up to scale, is the vector ``rref`` would
+give: proven, not probable.  When the lift or the check fails, or a
+denominator is divisible by p, the exact elimination runs instead.
 """
 
 from __future__ import annotations
+
+from math import isqrt
+from operator import mul
 
 from .poly import _exact_div, _to_int_coeffs
 
@@ -46,13 +57,13 @@ def rref(rows: list[list], ncols: int) -> dict[int, list]:
 _P = (1 << 61) - 1  # a Mersenne prime
 
 
-def _rank_mod_p(rows, ncols: int) -> int | None:
-    """Rank mod _P of the matrix ``rows`` with ``ncols`` columns, or None when
-    some Fraction entry has a denominator divisible by _P.
+def _echelon_mod_p(rows, ncols: int) -> dict[int, list[int]] | None:
+    """Echelon basis {pivot column: row with pivot entry 1} mod _P of the
+    matrix ``rows`` with ``ncols`` columns, or None when some Fraction entry
+    has a denominator divisible by _P.
 
-    Rows are inserted one at a time into an echelon basis {pivot column: row
-    with pivot entry 1}, stopping once it holds ``ncols`` rows; ``rows`` (any
-    iterable) is left as it is.
+    Rows are inserted one at a time, stopping once the basis holds ``ncols``
+    rows; ``rows`` (any iterable) is left as it is.
     """
     basis = {}
     for row in rows:
@@ -76,7 +87,16 @@ def _rank_mod_p(rows, ncols: int) -> int | None:
             v = [(w - c * u) % _P for w, u in zip(v, pivot)]
         if len(basis) == ncols:
             break
-    return len(basis)
+    return basis
+
+
+def _lift(u: int):
+    """The fraction n/d = u mod _P with |n|, d <= sqrt(_P/2), or None."""
+    bound, r0, r1, t0, t1 = isqrt(_P // 2), _P, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return _exact_div(r1, t1) if abs(t1) <= bound else None
 
 
 def rank(rows: list[list], ncols: int) -> int:
@@ -86,17 +106,22 @@ def rank(rows: list[list], ncols: int) -> int:
 
 def first_null_vector(rows, ncols: int) -> list[int] | None:
     """Primitive integer kernel vector for the first free column, or None when
-    the kernel is trivial.  ``rows`` may be an iterator: the rank mod p takes
+    the kernel is trivial.  ``rows`` may be an iterator: the echelon mod p takes
     rows only until it is full, and the rest are built only if it is not."""
     rows, seen = iter(rows), []
-    if _rank_mod_p((seen.append(row) or row for row in rows), ncols) == ncols:
+    basis = _echelon_mod_p((seen.append(row) or row for row in rows), ncols)
+    if basis is not None and len(basis) == ncols:
         return None
+    if basis is not None:  # every row was seen: lift the vector of the first free column mod p
+        free = next(c for c in range(ncols) if c not in basis)
+        vec = [0] * free + [1]
+        for col in reversed(range(free)):  # each column < free is a pivot
+            vec[col] = -sum(map(mul, basis[col][col + 1 : free + 1], vec[col + 1 :])) % _P
+        vec = _to_int_coeffs([_lift(u) for u in vec])
+        if vec is not None and not any(sum(map(mul, row, vec)) for row in seen):
+            return vec + [0] * (ncols - free - 1)
     pivots = rref(seen + list(rows), ncols)
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None
-    vec = [0] * ncols
-    vec[free] = 1
-    for col, row in pivots.items():
-        vec[col] = -row[free]
-    return _to_int_coeffs(vec)
+    return _to_int_coeffs([-pivots[c][free] if c in pivots else int(c == free) for c in range(ncols)])

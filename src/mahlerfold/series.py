@@ -9,17 +9,17 @@ multiplication seam ``poly._list_mul``.  A product strips the zero tails of
 its order-clipped operands first, so a zero tail costs no multiplication
 work: a series times a polynomial of d+1 terms is O(N*d), whether the
 polynomial comes as a ``Polynomial`` or as a padded series.  Division walks
-only the divisor's nonzero terms, O(N * nnz).
+only the divisor's nonzero terms, O(N * nnz).  Results already N + 1 long are
+built by the trusted ``_of``, and zero and equality tests run at C speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 from typing import Sequence
 
-from .poly import Polynomial, RationalFunction, _coerced, _exact_div, _Exact, _list_mul, _strip
+from .poly import Polynomial, RationalFunction, _coerced, _exact_div, _Exact, _list_mul, _strip, _to_int_coeffs
 
 
 class TruncatedSeries(_Exact):
@@ -34,6 +34,14 @@ class TruncatedSeries(_Exact):
         coeffs += [0] * (order + 1 - len(coeffs))
         object.__setattr__(self, "coeffs", tuple(coeffs[: order + 1]))
         object.__setattr__(self, "order", order)
+
+    @classmethod
+    def _of(cls, coeffs: tuple, order: int) -> TruncatedSeries:
+        """The trusted constructor: ``coeffs`` is a tuple of order + 1 terms."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "coeffs", coeffs)
+        object.__setattr__(s, "order", order)
+        return s
 
     @classmethod
     def zero(cls, order: int) -> TruncatedSeries:
@@ -54,9 +62,13 @@ class TruncatedSeries(_Exact):
     @classmethod
     def from_rational(cls, rf: RationalFunction, order: int) -> TruncatedSeries:
         """Expand num/den to the given order; den(0) must be nonzero."""
-        if not rf.den.coeffs[0]:
+        num, den = rf.num, rf.den
+        if not den.coeffs[0]:
             raise ZeroDivisionError("denominator vanishes at 0")
-        return cls.from_poly(rf.num, order) / rf.den
+        ints = _to_int_coeffs(num.coeffs + den.coeffs)  # one scale, so den(0) = +-1 divides in int
+        if ints is not None:
+            num, den = Polynomial(ints[: len(num.coeffs)]), Polynomial(ints[len(num.coeffs) :])
+        return cls.from_poly(num, order) / den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -67,31 +79,33 @@ class TruncatedSeries(_Exact):
         return hash((self.order, self.coeffs))
 
     def first_difference(self, other: TruncatedSeries) -> int | None:
-        return next((i for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)) if a != b), None)
+        n = min(self.order, other.order) + 1
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        return None if a == b else next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     @_coerced
     def __add__(self, other) -> TruncatedSeries:
-        return TruncatedSeries(map(add, self.coeffs, other.coeffs), min(self.order, other.order))
+        return TruncatedSeries._of(tuple(map(add, self.coeffs, other.coeffs)), min(self.order, other.order))
 
     __radd__ = __add__
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
+        return TruncatedSeries._of(tuple(map(neg, self.coeffs)), self.order)
 
     def __mul__(self, other) -> TruncatedSeries:
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs], self.order)
+            return TruncatedSeries._of(tuple([c * other for c in self.coeffs]), self.order)
         if isinstance(other, Polynomial):  # clipped, never padded to the order
             n = self.order
         elif isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
         else:
             return NotImplemented
-        prod = _list_mul(_strip(self.coeffs[: n + 1]), _strip(other.coeffs[: n + 1]))
-        return TruncatedSeries(prod[: n + 1], n)
+        prod = _list_mul(_strip(self.coeffs[: n + 1]), _strip(other.coeffs[: n + 1]))[: n + 1]
+        return TruncatedSeries._of(tuple(prod + [0] * (n + 1 - len(prod))), n)
 
     __rmul__ = __mul__
 
@@ -111,8 +125,8 @@ class TruncatedSeries(_Exact):
                     break
                 if out[i - j]:
                     c = c - d * out[i - j]
-            out[i] = c if d0 == 1 else _exact_div(c, d0)
-        return TruncatedSeries(out, n)
+            out[i] = c if d0 == 1 else -c if d0 == -1 else _exact_div(c, d0)
+        return TruncatedSeries._of(tuple(out), n)
 
     def _coerce(self, other):
         if isinstance(other, TruncatedSeries):
@@ -129,7 +143,7 @@ class TruncatedSeries(_Exact):
             raise ValueError("k must be >= 1")
         out = [0] * (self.order + 1)
         out[::k] = self.coeffs[: self.order // k + 1]
-        return TruncatedSeries(out, self.order)
+        return TruncatedSeries._of(tuple(out), self.order)
 
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
@@ -138,7 +152,8 @@ class TruncatedSeries(_Exact):
 
     def shift(self, k: int) -> TruncatedSeries:
         """Multiply by q^k, capped at the order."""
-        return TruncatedSeries([0] * k + list(self.coeffs), self.order)
+        k = min(k, self.order + 1)  # k <= 0 leaves the series as it is
+        return TruncatedSeries._of((0,) * k + self.coeffs[: self.order + 1 - k], self.order)
 
     def coeff(self, i: int):
         if i > self.order:
@@ -157,6 +172,15 @@ class TruncatedSeries(_Exact):
 # ---------------------------------------------------------------------------
 
 NAMED_SERIES = ("F", "G", "H", "I")
+
+MAX_COEFFS = 1 << 24  # the cap on a size parameter: ``expand --name H --order 2^24`` takes 1.5 GB
+
+
+def check_size(what: str, size: int) -> int:
+    """``size``, or a ValueError, before anything is allocated, past the cap."""
+    if size > MAX_COEFFS:
+        raise ValueError(f"{what} {size} is over the cap of 2^24 = {MAX_COEFFS}")
+    return size
 
 
 # S(q) = q^e A(q^2) + q^(1-e) B(q^4) with S(0) = 1: name -> (e, A, B)
@@ -177,6 +201,7 @@ def expand_named(name: str, order: int) -> TruncatedSeries:
     """
     if name not in _RULES:
         raise ValueError(f"unknown series {name!r}; expected one of {NAMED_SERIES}")
+    check_size("order", order)
     coeffs = {s: bytearray(b"\1").ljust(order + 1, b"\0") for s in (name, _RULES[name][1])}
     lo = 1
     while lo <= order:
@@ -241,25 +266,38 @@ def truncated_partial(name: str, n: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MahlerEquation:
     """A(q) + A_0(q) f(q) + A_1(q) f(q^k) + ... + A_d(q) f(q^(k^d)) = 0.
 
     ``normalization``, when not None, is the value of f(0): it pins the
-    solution when the equation leaves f(0) free.
+    solution when the equation leaves f(0) free.  Immutable, and equal to
+    another when all four fields are.
     """
 
-    k: int
-    coeffs: tuple[Polynomial, ...]
-    inhomogeneous: Polynomial = field(default_factory=Polynomial.zero)
-    normalization: object = None
+    __slots__ = ("k", "coeffs", "inhomogeneous", "normalization")
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, k: int, coeffs, inhomogeneous: Polynomial = Polynomial(), normalization=None):
+        coeffs = tuple(coeffs)
+        if k < 2:
             raise ValueError("k must be >= 2")
-        if not any(self.coeffs):
+        if not any(coeffs):
             raise ValueError("all A_i are zero")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        for name, value in zip(self.__slots__, (k, coeffs, inhomogeneous, normalization)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.k, self.coeffs, self.inhomogeneous, self.normalization
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is MahlerEquation else NotImplemented
+
+    def __repr__(self):
+        return "MahlerEquation(k={!r}, coeffs={!r}, inhomogeneous={!r}, normalization={!r})".format(*self._key())
 
     @property
     def depth(self) -> int:

@@ -425,6 +425,32 @@ def test_verify_all_at_a_low_order(capsys):
     assert payload["failures"] == []
 
 
+_HUGE = "100000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expand", "--name", "H", "--order", _HUGE], f"order {_HUGE} is over the cap of 2^24"),
+        (["expand", "--name", "H", "--order", str(2**24 + 1)], "is over the cap of 2^24"),
+        (["verify", "--id", "propFGH", "--order", _HUGE], f"order {_HUGE} is over the cap"),
+        (["hadamard", "product", "--a", "pow2", "--b", "1/(1-2*q)", "--order", _HUGE], "over the cap"),
+        (["hadamard", "kernel", "--seq", "H", "--length", _HUGE], f"length {_HUGE} is over the cap"),
+        (["hadamard", "kernel", "--seq", "H", "--depth", _HUGE], "shows only 0 terms"),
+        (["hadamard", "probe", "--f", "F", "--g", "1/(1-q)", "--order", _HUGE], "over the cap"),
+        (["hadamard", "probe", "--f", "F", "--g", "1/(1-q)", "--degmax", _HUGE],
+         "the probe system's entry count"),
+    ],
+)
+def test_sizes_past_the_cap_exit_2_before_allocating(capsys, argv, message):
+    # each of these would allocate (or, for the kernel depth, compute k^depth)
+    # far past memory and time; they are refused first
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_level_zero_is_accepted(capsys):
     code, out = run(capsys, "fold", "check", "--id", "rho-theorem", "--n", "0")
     assert code == 0

@@ -109,3 +109,10 @@ def test_cli_import_loads_every_trace_target():
     result = fresh(RUN_MAIN.format(commands=[]))
     assert {module for module, *_ in shim.TARGETS} <= set(result["mahlerfold"])
     assert not result["mpmath"]
+
+
+def test_series_builds_no_dataclass():
+    # MahlerEquation is a plain class: importing the series layer does not
+    # load dataclasses, whose classes exec generated methods at import
+    result = fresh("import json, sys, mahlerfold.series\nprint(json.dumps('dataclasses' in sys.modules))")
+    assert result is False

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerfold.poly import Polynomial, RationalFunction
+from mahlerfold.poly import Polynomial, RationalFunction, parse_rational
 from mahlerfold.series import (
     MahlerEquation,
     MahlerSolveError,
@@ -507,3 +507,69 @@ def test_solve_mahler_matches_rescan_on_random_equations():
         "inconsistent equation for coefficient #",
         "normalization # contradicts forced value # at index #",
     }
+
+
+# -- results built by the trusted constructor, and C-level comparisons -------
+
+def _first_difference_walk(a, b):
+    for i in range(min(a.order, b.order) + 1):
+        if a.coeffs[i] != b.coeffs[i]:
+            return i
+    return None
+
+
+@given(series(coeff=scalars), st.integers(0, 30), st.integers(-3, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_first_difference_matches_a_walk(a, order, change, data):
+    b = TS(a.coeffs, order)  # the same prefix, an order above, at or below a's
+    if change and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, b.order))
+        b = TS(b.coeffs[:i] + (b.coeffs[i] + change,) + b.coeffs[i + 1 :], b.order)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert x.first_difference(y) == _first_difference_walk(x, y)
+
+
+def _rebuilt(s):
+    """The same series through the public constructor."""
+    return TS(list(s.coeffs), s.order)
+
+
+@given(series(coeff=scalars), series(coeff=scalars), st.integers(0, 40), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_trusted_results_equal_public_ones(a, b, k, power):
+    results = [a + b, -a, a * b, a * Fraction(3, 2), a * 0, a * P(b.coeffs), a.substitute_power(power),
+               a.shift(k), a.shift(a.order + 1), a.shift(0), a / (b.shift(1) + 1)]
+    for r in results:
+        assert type(r.coeffs) is tuple and len(r.coeffs) == r.order + 1
+        assert r == _rebuilt(r) and r.coeffs == _rebuilt(r).coeffs
+    assert a.shift(0) == a
+    assert a.shift(a.order + 7) == TS.zero(a.order)
+    assert a.shift(k).coeffs == tuple(([0] * k + list(a.coeffs))[: a.order + 1])
+
+
+def test_from_rational_clears_to_an_integer_divisor():
+    # 1/(1-2q) is stored as (-1/2)/(q - 1/2); one scale makes den(0) = -1
+    s = TS.from_rational(parse_rational("1/(1-2*q)"), 40)
+    assert s.coeffs == tuple(2**n for n in range(41))
+    assert all(type(c) is int for c in s.coeffs)
+
+
+def test_from_rational_keeps_fraction_values_and_types():
+    s = TS.from_rational(parse_rational("1/(2-q)"), 20)
+    assert s.coeffs == tuple(Fraction(1, 2 ** (n + 1)) for n in range(21))
+    assert all(type(c) is Fraction for c in s.coeffs)
+
+
+def test_mahler_equation_is_a_plain_immutable_class():
+    eq = MahlerEquation(2, [P.one(), P([-1])])  # a list of A_i is kept as a tuple
+    assert eq.coeffs == (P.one(), P([-1])) and eq.inhomogeneous == P.zero()
+    assert eq.normalization is None and eq.depth == 1
+    assert eq == MahlerEquation(k=2, coeffs=(P.one(), P([-1])), inhomogeneous=P.zero())
+    assert eq != MahlerEquation(2, (P.one(), P([-1])), P.zero(), 1)
+    assert eq != MahlerEquation(4, (P.one(), P([-1])))
+    assert not hasattr(eq, "__dict__")
+    for change in (lambda: setattr(eq, "k", 3), lambda: delattr(eq, "coeffs")):
+        with pytest.raises(AttributeError, match="MahlerEquation is immutable"):
+            change()
+    assert repr(eq) == ("MahlerEquation(k=2, coeffs=(Polynomial([1]), Polynomial([-1])), "
+                        "inhomogeneous=Polynomial([]), normalization=None)")
