@@ -5,10 +5,12 @@ rational functions, Q(sqrt5) elements or mpmath big-floats all work, since the
 code only uses +, -, * (and / for evaluation).
 
 ``ContinuantMatrix.push`` is the one place the three-term recurrence
-p_n = a_n p_{n-1} + b_n p_{n-2} is applied; ``eval_irregular`` is the one
-back-to-front evaluator (``eval_regular``, ``rho_value`` and ``lambda_value``
-only build partial quotients for it), and every scalar quotient goes through
-``poly._exact_div``, so an integral value comes back as an ``int``.
+p_n = a_n p_{n-1} + b_n p_{n-2} is applied, in the one front-to-back loop
+``irregular_continuants``; ``eval_irregular`` is the one back-to-front
+evaluator (``continuants``, ``eval_regular``, ``rho_value`` and
+``lambda_value`` only build partial quotients for them).  Zero tests are
+exact, and every scalar quotient goes through ``poly._exact_div``, so an
+integral value comes back as an ``int``.
 """
 
 from __future__ import annotations
@@ -114,35 +116,27 @@ def continuants(word: Word) -> ContinuantMatrix:
     Satisfies p_n = a_n p_{n-1} + p_{n-2} and the determinant law
     q_n p_{n-1} - p_n q_{n-1} = (-1)^n.
     """
+    return irregular_continuants(_unit_numerators(word))
+
+
+def _unit_numerators(word: Word) -> IrregularCF:
+    """[a_0; a_1, ..., a_n] as a_0 + 1/(a_1 + 1/(...)), the form both
+    ``continuants`` and ``eval_regular`` read; an empty word has neither."""
     symbols = word.symbols()
     if not symbols:
-        raise ValueError("continuants of a completely empty word are undefined; give a head")
-    mat = _identity_like(symbols[0])
-    for a in symbols:
-        mat = mat.push(a)
-    return mat
+        raise ValueError("cannot evaluate an empty continued fraction")
+    return IrregularCF(symbols[0], tuple((1, a) for a in symbols[1:]))
 
 
-def eval_regular(word: Word, point=None, zero_tol=None):
+def eval_regular(word: Word, point=None):
     """Back-to-front value of [a_0; a_1, ..., a_n].
 
     Entries may be ring constants, or Polynomial/RationalFunction values
     evaluated at ``point`` (pass point=None to keep symbolic entries as-is).
     Raises DivisionByZero carrying the index of the subfraction whose value
-    vanished where its reciprocal was needed.  ``zero_tol`` enables
-    approximate zero detection for big-float points (exact otherwise).
+    vanished where its reciprocal was needed; zero tests are exact.
     """
-    symbols = word.symbols()
-    if not symbols:
-        raise ValueError("cannot evaluate an empty continued fraction")
-    pairs = tuple((1, a) for a in symbols[1:])
-    return eval_irregular(IrregularCF(symbols[0], pairs), point, zero_tol)
-
-
-def _is_zero(v, zero_tol) -> bool:
-    if zero_tol is not None:
-        return abs(v) < zero_tol
-    return not v
+    return eval_irregular(_unit_numerators(word), point)
 
 
 def _at(a, point):
@@ -168,7 +162,7 @@ class IrregularCF:
     pairs: tuple  # ((b_1, a_1), (b_2, a_2), ...)
 
 
-def eval_irregular(cf: IrregularCF, point=None, zero_tol=None):
+def eval_irregular(cf: IrregularCF, point=None):
     """Back-to-front value of an irregular continued fraction.
 
     DivisionByZero carries the level of the vanishing subfraction (the one
@@ -177,7 +171,7 @@ def eval_irregular(cf: IrregularCF, point=None, zero_tol=None):
     partials = (cf.a0,) + tuple(a for _, a in cf.pairs)
     acc = _at(partials[-1], point)
     for depth in range(len(cf.pairs), 0, -1):
-        if _is_zero(acc, zero_tol):
+        if not acc:
             raise DivisionByZero(depth)
         b = _at(cf.pairs[depth - 1][0], point)
         acc = _at(partials[depth - 1], point) + _divide(b, acc)
@@ -292,7 +286,7 @@ def rho_rational(n: int) -> RationalFunction:
 MAX_RESULT_BITS_LOG2 = 20
 
 
-def rho_value(n: int, x, zero_tol=None):
+def rho_value(n: int, x):
     """rho_n at a point, evaluated back-to-front without materializing the
     dense x^(2^i) monomials (exact for Fraction/QuadNum, numeric for mpf).
 
@@ -305,22 +299,22 @@ def rho_value(n: int, x, zero_tol=None):
                 f"rho_{n} at {x} has exact values of up to 2^{n} * {bits} bits, "
                 f"over the cap of 2^{MAX_RESULT_BITS_LOG2} bits"
             )
-    return _unwind_rho(n, x, x * 0 + 1, zero_tol)
+    return _unwind_rho(n, x, x * 0 + 1)
 
 
-def _unwind_rho(n: int, x, tail, zero_tol=None):
+def _unwind_rho(n: int, x, tail):
     """1 + x/(1 + x^2/(... 1 + x^(2^(n-1))/tail)): rho_n with its innermost
     1 replaced by ``tail``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     partials = [1] * n + [tail]
     pairs = tuple((x ** (1 << i), a) for i, a in enumerate(partials[1:]))
-    return eval_irregular(IrregularCF(partials[0], pairs), zero_tol=zero_tol)
+    return eval_irregular(IrregularCF(partials[0], pairs))
 
 
-def lambda_value(n: int, x, plus: bool = False, zero_tol=None):
+def lambda_value(n: int, x, plus: bool = False):
     """lambda_n (or lambda_n^+) at a point, back-to-front."""
-    return eval_regular(_lambda(n, x, plus, lambda e: x**e), zero_tol=zero_tol)
+    return eval_regular(_lambda(n, x, plus, lambda e: x**e))
 
 
 # ---------------------------------------------------------------------------

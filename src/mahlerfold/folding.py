@@ -10,9 +10,10 @@ computed through the recursion itself, so they stay cheap even when the words
 grow exponentially; the computation is generic over the coefficient ring
 (polynomials, truncated series, exact rationals, ints, big floats).  Each run
 U, c, -~U of a rule (dragon, rho, cubic and quintic have one) is found when
-the spec is built.  Words, lengths and matrices read a rule from the left, and
-a run costs the Folding Lemma's two squares and one product; a check that reads
-only (p, q) pushes e1 through it from the right, at four products a run.
+the spec is built.  Words and lengths read a rule from the left; matrices read
+it from the right, multiplying each item's factor on the left, so a run costs
+the Folding Lemma's two squares and one product, and a check that reads only
+(p, q) pushes e1 through the rule at four products a run.
 """
 
 from __future__ import annotations
@@ -340,19 +341,32 @@ def word_lengths(spec, n: int) -> list[int]:
     return list(islice(lengths, max(n + 1, 0)))
 
 
-def _continuant_images(spec: FoldSpec, x):
+def _matrix_images(spec: FoldSpec, x, column: bool):
     """(continuant matrix, length) of w_0, w_1, ... with x the ring image of
-    the letter x.  Negated references use N(-w) = (-1)^len(w) D N(w) D with
-    D = diag(1, -1), which is exact for Key Lemma products; reversal is the
-    transpose.  A run U, c, -~U costs three products (``fold_matrix``)."""
-    minus_x, ident = -x, _identity_like(x)
-
-    def letter(acc, s):
-        mat, length = acc
-        return mat.push(x if s > 0 else minus_x), length + 1
+    the letter x.  Each rule is read from its right end and each item's
+    factor multiplies the accumulator from the left: a letter t is
+    (t, 1; 1, 0), a reference its word's matrix (transposed if reversed; if
+    negated, N(-w) = (-1)^len(w) D N(w) D with D = diag(1, -1), exact for Key
+    Lemma products) and a run U, t, -~U ``fold_matrix`` of U's first column,
+    at two squares and one product.  The accumulator starts at I; a
+    ``column`` read of a column-closed spec starts at e1 = (1, 0; 0, 0), so
+    each reference is read first, as its own column, the second column stays
+    zero, and a run is st (a; c)(a, -c) + J with (a, c) U's column and
+    J = (0, 1; 1, 0): four products of (a, c) with the column.
+    """
+    minus_x, start = -x, _identity_like(x)
+    zero = start.p_prev
+    column = column and _column_closed(spec.folds)
+    if column:
+        start = ContinuantMatrix(start.p, zero, zero, zero)
 
     def times(acc, mat, length):
-        return (mat if acc[0] is ident else acc[0].mul(mat)), acc[1] + length
+        return (mat if acc[0] is start else mat.mul(acc[0])), acc[1] + length
+
+    def letter(acc, s):
+        (m, length), t = acc, x if s > 0 else minus_x
+        second = m.p_prev if column else t * m.p_prev + m.q_prev  # a column read keeps it zero
+        return ContinuantMatrix(t * m.p + m.q, second, m.p, m.p_prev), length + 1
 
     def join(acc, image, ref):
         ref_mat, ref_len = image
@@ -365,55 +379,29 @@ def _continuant_images(spec: FoldSpec, x):
         return times(acc, ref_mat, ref_len)
 
     def fold(acc, image, s):
-        (u, u_len), t = image, x if s > 0 else minus_x
-        return times(acc, fold_matrix(u.p, u.q, u_len, t), 2 * u_len + 1)
+        (m, length), (u, u_len) = acc, image
+        if not column:
+            return times(acc, fold_matrix(u.p, u.q, u_len, x if s > 0 else minus_x), 2 * u_len + 1)
+        w = (x if (s > 0) ^ (u_len % 2) else minus_x) * (u.p * m.p - u.q * m.q)  # st (a v1 - c v2)
+        return ContinuantMatrix(u.p * w + m.q, zero, u.q * w + m.p, zero), length + 2 * u_len + 1
 
-    return _unfold(spec, lambda: (ident, 0), letter, join, fold)
-
-
-def _column_images(spec: FoldSpec, x):
-    """(first column as a matrix (p, 0; q, 0), length) of w_0, w_1, ... for a
-    column-closed spec: e1 = (1, 0) pushed through each rule from its right
-    end, so a reference is read only from e1 and gives its own column
-    (N(-w) e1 = (-1)^len(w) D N(w) e1).  A letter t maps v to (t v1 + v2, v1);
-    a run U, t, -~U is ``fold_matrix`` as st (a; c)(a, -c) + J with (a, c)
-    U's column and J = (0, 1; 1, 0): four products of U's column with v."""
-    minus_x, zero = -x, x * 0
-
-    def letter(acc, s):
-        (v1, v2, length), t = acc, x if s > 0 else minus_x
-        return t * v1 + v2, v1, length + 1
-
-    def join(acc, image, ref):
-        p, q, length = image
-        if ref.negate:
-            p, q = (-p, q) if length % 2 else (p, -q)
-        return p, q, acc[2] + length
-
-    def fold(acc, image, s):
-        (v1, v2, length), (a, c, u_len) = acc, image
-        w = (x if (s > 0) ^ (u_len % 2) else minus_x) * (a * v1 - c * v2)  # st (a v1 - c v2)
-        return a * w + v2, c * w + v1, length + 2 * u_len + 1
-
-    images = _unfold(spec, lambda: (zero + 1, zero, 0), letter, join, fold, step=-1)
-    return ((ContinuantMatrix(p, zero, q, zero), length) for p, q, length in images)
+    return _unfold(spec, lambda: (start, 0), letter, join, fold, step=-1)
 
 
 class FoldEngine:
     """Computes continuants of w_n for a fold spec over an arbitrary ring.
 
     ``x`` is the ring image of the letter x.  Levels are pulled from the
-    fold-rule interpreter on demand and cached; full matrices are built with
-    the rule read from the left.  A ``column`` engine promises only first
-    columns (p, q); for a column-closed spec (rho, dragon) it reads each rule
-    from the right (``_column_images``), so every operand is a column.
+    fold-rule interpreter (``_matrix_images``) on demand and cached, each rule
+    read from the right.  A ``column`` engine promises only first columns
+    (p, q); for a column-closed spec (rho, dragon) it pushes e1 through each
+    rule, so every operand is a column.
     """
 
     def __init__(self, spec, x, column: bool = False):
         self.spec = resolve_spec(spec)
         self.x = x
-        closed = column and _column_closed(self.spec.folds)
-        self._images = (_column_images if closed else _continuant_images)(self.spec, x)
+        self._images = _matrix_images(self.spec, x, column)
         self._cache: list = []
 
     def matrix(self, n: int) -> ContinuantMatrix:

@@ -118,14 +118,14 @@ class TruncatedSeries(_Exact):
             raise ZeroDivisionError("series division by a non-unit")
         terms = [(j, d) for j, d in enumerate(other.coeffs[1 : n + 1], 1) if d]
         out = list(self.coeffs[: n + 1])
-        for i in range(n + 1):
-            c = out[i]
-            for j, d in terms:
-                if j > i:
-                    break
-                if out[i - j]:
-                    c = c - d * out[i - j]
-            out[i] = c if d0 == 1 else -c if d0 == -1 else _exact_div(c, d0)
+        for i, c in enumerate(out):  # out[i] is final when reached; push its quotient forward
+            if d0 != 1:
+                c = out[i] = -c if d0 == -1 else _exact_div(c, d0)
+            if c:
+                for j, d in terms:
+                    if i + j > n:
+                        break
+                    out[i + j] = out[i + j] - d * c
         return TruncatedSeries._of(tuple(out), n)
 
     def _coerce(self, other):

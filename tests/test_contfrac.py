@@ -29,7 +29,7 @@ from mahlerfold.contfrac import (
     rho_value,
 )
 from mahlerfold.poly import Polynomial, RationalFunction
-from mahlerfold.quadfield import PHI, QuadNum
+from mahlerfold.quadfield import PHI, GaussianRational, QuadNum
 from mahlerfold.series import expand_named, truncated_partial
 
 P = Polynomial
@@ -211,16 +211,14 @@ def test_eval_simple():
 
 
 def test_lambda_division_by_zero_at_zeta12():
-    # [x; x^2, x^4] at exp(2 pi i/12): the tail x^2 + 1/x^4 evaluates to
-    # zeta^2 + zeta^8 = 0, so the head's reciprocal does not exist
-    with mp.workprec(256):
-        zeta = mp.e ** (2j * mp.pi / 12)
-        with pytest.raises(DivisionByZero) as err:
-            eval_regular(lambda_word(2), zeta, zero_tol=mp.mpf(10) ** -40)
-        assert err.value.depth == 1
-        # one level deeper the evaluation goes through fine
-        value = eval_regular(lambda_word(3), zeta, zero_tol=mp.mpf(10) ** -40)
-        assert mp.isfinite(value)
+    # [x; x^2, x^4] at x = i (zeta_12^3): the tail x^2 + 1/x^4 evaluates to
+    # -1 + 1 = 0 exactly, so the head's reciprocal does not exist
+    i = GaussianRational(0, 1)
+    with pytest.raises(DivisionByZero) as err:
+        eval_regular(lambda_word(2), i)
+    assert err.value.depth == 1
+    # one level deeper the evaluation goes through: i + 1/(-1 + 1/(1 + 1/1))
+    assert eval_regular(lambda_word(3), i) == GaussianRational(-2, 1)
 
 
 def _neg_arg(p):

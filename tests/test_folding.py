@@ -432,6 +432,38 @@ def test_named_engines_match_mul_path(name, top):
         assert [(c.p, c.q) for c in cols] == [(m.p, m.q) for m in oracle]
 
 
+@pytest.mark.parametrize(
+    "name, n, column, big, empty",
+    [
+        ("cubic", 6, False, 36, None),
+        ("cubic-alt", 6, False, 72, None),
+        ("quintic", 4, False, 38, None),
+        ("rational-ex", 5, False, 72, None),
+        ("rho", 10, False, 63, None),
+        ("dragon", 10, False, 18, None),
+        ("rho", 12, True, 28, 4),
+        ("dragon", 12, True, 16, 13),
+    ],
+)
+def test_engine_product_budget(monkeypatch, name, n, column, big, empty):
+    """Building levels 0..n stays within a budget of ring products:
+    Kronecker-sized ones (both operands over 8 terms) and, in a column read,
+    products with a zero operand."""
+    from mahlerfold import poly
+
+    sizes, list_mul = [], poly._list_mul
+
+    def counted(a, b):
+        sizes.append((len(a), len(b)))
+        return list_mul(a, b)
+
+    monkeypatch.setattr(poly, "_list_mul", counted)
+    FoldEngine(named_spec(name), P.x(), column).matrix(n)
+    assert sum(a > 8 and b > 8 for a, b in sizes) <= big
+    if empty is not None:
+        assert sum(not a or not b for a, b in sizes) <= empty
+
+
 # -- specialization -----------------------------------------------------------
 
 def test_specialize_rho4():
