@@ -12,6 +12,7 @@ fixed arguments; JSON payloads carry a top-level "schema": 1 field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -20,8 +21,8 @@ from fractions import Fraction
 
 from . import contfrac, curve, fiblucas, folding, hadamard
 from .identities import FOLD_CHECKS, REGISTRY
-from .poly import RationalFunction, parse_poly, parse_rational
-from .series import NAMED_SERIES, TruncatedSeries, check_size, expand_named
+from .poly import MAX_RESULT_BITS_LOG2, RationalFunction, check_size, parse_poly, parse_rational
+from .series import NAMED_SERIES, TruncatedSeries, expand_named
 
 SCHEMA = 1
 
@@ -133,6 +134,15 @@ def _parse_point(text: str):
         raise ValueError(f"bad point {text!r}") from None
 
 
+def _precision(point, bits: int):
+    """mpmath's working precision at a numeric point; none, and no import, at an exact one."""
+    if point is None or isinstance(point, Fraction):
+        return contextlib.nullcontext()
+    import mpmath as mp
+
+    return mp.workprec(bits)
+
+
 def _parse_word_json(text: str) -> contfrac.Word:
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -154,12 +164,10 @@ def _parse_entry(e):
 
 
 def cmd_cf(args) -> int:
-    import mpmath as mp
-
     if args.cf_cmd == "eval":
         word = _parse_word_json(args.word)
         point = _parse_point(args.at) if args.at else None
-        with mp.workprec(args.bits):
+        with _precision(point, args.bits):
             try:
                 value = contfrac.eval_regular(word, point)
             except contfrac.DivisionByZero as exc:
@@ -186,7 +194,7 @@ def cmd_cf(args) -> int:
         point = _parse_point(args.point) if args.point else None
         if point is None:
             raise ValueError("cf rho requires --point")
-        with mp.workprec(args.bits):
+        with _precision(point, args.bits):
             value = contfrac.rho_value(args.n, point)
         _emit({"value": _exact_str(value)}, args.json)
         return 0
@@ -501,6 +509,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_size("--bits", args.bits, MAX_RESULT_BITS_LOG2)
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

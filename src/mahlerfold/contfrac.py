@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, RationalFunction, _exact_div
+from .poly import MAX_RESULT_BITS_LOG2, Polynomial, RationalFunction, _exact_div, check_size
 from .quadfield import PHI, GaussianRational, QuadNum
 from .series import TruncatedSeries, expand_named
 
@@ -280,33 +280,25 @@ def rho_rational(n: int) -> RationalFunction:
     return eval_irregular(rho_cf(n), RationalFunction.x())
 
 
-# Exact values past 2^MAX_RESULT_BITS_LOG2 bits take from seconds to minutes to
-# compute and print, and each further level (rho) or term (fiblucas) multiplies
-# that by about 4, so they are refused before the work starts.
-MAX_RESULT_BITS_LOG2 = 20
-
-
 def rho_value(n: int, x):
     """rho_n at a point, evaluated back-to-front without materializing the
     dense x^(2^i) monomials (exact for Fraction/QuadNum, numeric for mpf).
 
-    At a rational point of b bits (numerator or denominator) the exact value
-    has up to 2^n * b bits; past 2^MAX_RESULT_BITS_LOG2 it is refused."""
-    if isinstance(x, (int, Fraction)) and n >= 0:
+    Refused past 2^MAX_RESULT_BITS_LOG2 bits: the exponents 2^i take about n^2/2
+    bits (an mpf keeps them), and at a rational point of b bits (numerator or
+    denominator) the exact value has up to 2^n * b bits."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    check_size(f"rho_{n} at {x}: exponent bits", n * n // 2, MAX_RESULT_BITS_LOG2)
+    if isinstance(x, (int, Fraction)):
         bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-        if bits << n > 1 << MAX_RESULT_BITS_LOG2:
-            raise ValueError(
-                f"rho_{n} at {x} has exact values of up to 2^{n} * {bits} bits, "
-                f"over the cap of 2^{MAX_RESULT_BITS_LOG2} bits"
-            )
+        check_size(f"rho_{n} at {x}: exact value bits", bits << n, MAX_RESULT_BITS_LOG2)
     return _unwind_rho(n, x, x * 0 + 1)
 
 
 def _unwind_rho(n: int, x, tail):
     """1 + x/(1 + x^2/(... 1 + x^(2^(n-1))/tail)): rho_n with its innermost
     1 replaced by ``tail``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     partials = [1] * n + [tail]
     pairs = tuple((x ** (1 << i), a) for i, a in enumerate(partials[1:]))
     return eval_irregular(IrregularCF(partials[0], pairs))

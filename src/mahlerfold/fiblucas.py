@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .contfrac import MAX_RESULT_BITS_LOG2, IrregularCF, eval_irregular
-from .poly import Polynomial, RationalFunction, parse_rational
+from .contfrac import IrregularCF, eval_irregular
+from .poly import MAX_RESULT_BITS_LOG2, Polynomial, RationalFunction, check_size, parse_rational
 from .quadfield import PHI, SQRT5, QuadNum
 
 
@@ -330,12 +330,9 @@ def run_identity(identity: str, terms: int):
 
     Term n of every identity involves F(2^n) and L(2^n), about phi^(2^n), so
     the exact value at ``terms`` has numerators and denominators of under
-    2^(terms + 2) bits."""
-    if terms + 2 > MAX_RESULT_BITS_LOG2:
-        raise ValueError(
-            f"{terms} terms give exact values of up to 2^{terms + 2} bits, over the cap "
-            f"of 2^{MAX_RESULT_BITS_LOG2} bits (terms <= {MAX_RESULT_BITS_LOG2 - 2})"
-        )
+    2^(terms + 2) bits.  The count's own cap keeps that power small."""
+    check_size("terms", terms, 6)
+    check_size(f"{terms} terms: exact value bits", 1 << (terms + 2), MAX_RESULT_BITS_LOG2)
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {IDENTITY_IDS}")
     return IDENTITIES[identity](terms)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain, count, islice
 
 from .contfrac import ContinuantMatrix, Word, _identity_like, euclid_cf, eval_irregular, fold_matrix, IrregularCF
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, check_size
 from .series import TruncatedSeries
 
 
@@ -511,6 +511,7 @@ class StabilizationError(ValueError):
 # below refuse to build a longer word (8 MiB) rather than exhaust memory.
 MAX_SIGN_WORD_LETTERS = 1 << 23
 MAX_GF_LEVELS = 64
+MAX_ITERATE_DEGREE_LOG2 = 12  # fold cohn: deg f^n_max <= 4096
 
 
 def sign_generating_functions(spec, order: int):
@@ -728,18 +729,11 @@ class SpecializableReport:
     witness: Polynomial | None = None
 
 
-class DegreeCapExceeded(ValueError):
-    pass
-
-
-MAX_ITERATE_DEGREE = 4096
-
-
 def specializable_iterated(f: Polynomial, mode: str, n_max: int) -> SpecializableReport:
     """Check whether the CF of sum 1/f^m(x) (cohn_sum) or of the irregular
     x + f(x)/1 + f^2(x)/1 + ... (irregular) has all partial quotients in Z[x].
-    An n_max whose last iterate passes MAX_ITERATE_DEGREE is refused before
-    any work; the iterate f^n is composed when level n is checked.
+    An n_max whose last iterate passes degree 2^MAX_ITERATE_DEGREE_LOG2 is
+    refused before any work; the iterate f^n is composed when level n is checked.
     """
     if f.degree < 2:
         raise ValueError("deg f must be >= 2")
@@ -747,11 +741,8 @@ def specializable_iterated(f: Polynomial, mode: str, n_max: int) -> Specializabl
         raise ValueError("n_max must be >= 1")
     if mode not in ("cohn_sum", "irregular"):
         raise ValueError(f"unknown mode {mode!r}")
-    # deg f^m = (deg f)^m, past the cap by m = 13 at the latest
-    degrees = (f.degree**m for m in range(1, n_max + 1))
-    over = next((d for d in degrees if d > MAX_ITERATE_DEGREE), None)
-    if over is not None:
-        raise DegreeCapExceeded(f"iterated polynomial degree {over} exceeds cap {MAX_ITERATE_DEGREE}")
+    for m in range(1, n_max + 1):  # deg f^m = (deg f)^m, past the cap by m = 13 at the latest
+        check_size("iterated polynomial degree", f.degree**m, MAX_ITERATE_DEGREE_LOG2)
     iterates = [Polynomial.x()]
     for n in range(1, n_max + 1):
         iterates.append(f(iterates[-1]))

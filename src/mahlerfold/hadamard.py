@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .linalg import first_null_vector, rank
-from .poly import Polynomial, RationalFunction, _to_int_coeffs
-from .series import MahlerEquation, TruncatedSeries, check_size, solve_mahler
+from .poly import Polynomial, RationalFunction, _to_int_coeffs, check_size
+from .series import MahlerEquation, TruncatedSeries, solve_mahler
 
 
 def hadamard_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

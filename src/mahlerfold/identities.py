@@ -14,8 +14,7 @@ from functools import partial
 from typing import Callable
 
 from . import folding
-from .contfrac import MAX_RESULT_BITS_LOG2
-from .poly import Polynomial
+from .poly import MAX_RESULT_BITS_LOG2, Polynomial, check_size
 from .series import TruncatedSeries, expand_named, truncated_partial
 
 
@@ -145,9 +144,8 @@ def _check_hn_reversal(order: int) -> IdentityReport:
 
 def _check_rho_theorem(max_level: int) -> IdentityReport:
     """[s_n; w_n] has continuants (H_n, H_{n-1}(x^2)), |w_n| = (2^(n+1) + (-1)^n)/3 - 1."""
-    if max_level > MAX_RESULT_BITS_LOG2:  # each level costs about 2.7 times the one below
-        raise ValueError(f"rho-theorem at level {max_level} compares polynomials of "
-                         f"2^{max_level} coefficients, over the cap of 2^{MAX_RESULT_BITS_LOG2}")
+    check_size("rho-theorem level", max_level, 6)  # keeps 1 << max_level small
+    check_size(f"rho-theorem at level {max_level}: coefficients", 1 << max_level, MAX_RESULT_BITS_LOG2)
     engine = folding.FoldEngine("rho", Polynomial.x(), column=True)
     lengths = folding.word_lengths("rho", max_level)
 

@@ -11,6 +11,8 @@ schoolbook for a short or non-int operand, else one signed Kronecker product
 ``_Exact``, ``_coerced`` and ``_power`` are the one arithmetic protocol of the
 exact element classes (here, in ``series`` and in ``quadfield``): a coerced
 binary method, subtraction, immutability and square-and-multiply.
+``check_size`` is the one cost guard: a size known before the work (a size
+parameter, a power, an exact value's bits) is refused past its cap.
 """
 
 from __future__ import annotations
@@ -18,13 +20,24 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
 _LITTLE = sys.byteorder == "little"  # slots are little-endian; else ``array`` byteswaps
 _SLOT_CODES = {array(c).itemsize: c for c in "bhiq"}  # signed item size -> code, ascending
 _SIGN_FILL = bytes(255 * (i >> 7) for i in range(256))  # top byte -> sign-extension byte
+
+MAX_COEFFS_LOG2 = 24  # a size parameter: ``expand --name H --order 2^24`` takes 1.5 GB
+MAX_RESULT_BITS_LOG2 = 20  # past 2^20 bits an exact value takes seconds to minutes to compute and print
+MAX_NESTING = 100  # parentheses and prefix signs in an expression, each up to four Python frames
+
+
+def check_size(what: str, size: int, cap_log2: int = MAX_COEFFS_LOG2) -> int:
+    """``size``, or a ValueError naming ``what`` if it passes 2^cap_log2."""
+    if size > 1 << cap_log2:
+        raise ValueError(f"{what} {size} is over the cap of 2^{cap_log2} = {1 << cap_log2}")
+    return size
 
 
 def _strip(coeffs: list) -> tuple:
@@ -221,8 +234,15 @@ class Polynomial(_Exact):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Polynomial:
+        """self^n, refused first past deg*n + 1 coefficients or, for p = P/d (P
+        integral), n*ceil(log2 max(||P||_1, d)) bits a coefficient: |[x^k] P^n| <= ||P||_1^n."""
         if n < 0:
             raise ValueError("negative polynomial power")
+        check_size("power's coefficient count", self.degree * n + 1)
+        if {int, Fraction}.issuperset(map(type, self.coeffs)):
+            d = lcm(*(c.denominator for c in self.coeffs))
+            norm = max(int(sum(map(abs, self.coeffs)) * d), d)
+            check_size("power's coefficient bits", n * (norm - 1).bit_length(), MAX_RESULT_BITS_LOG2)
         return _power(self, n, Polynomial.one())
 
     def _coerce(self, other):
@@ -611,7 +631,7 @@ def parse_rational(text: str, var: str | None = None) -> RationalFunction:
 
     names = set()
 
-    def atom() -> RationalFunction:
+    def atom(depth: int) -> RationalFunction:
         t = take()
         if t[0] == "int":
             return RationalFunction.constant(t[1])
@@ -619,21 +639,21 @@ def parse_rational(text: str, var: str | None = None) -> RationalFunction:
             names.add(t[1])
             return RationalFunction.x()
         if t == ("op", "("):
-            e = expr()
+            e = expr(depth + 1)
             if peek() != ("op", ")"):
                 raise ExprError(f"missing ')' in {text!r}")
             take()
             return e
         raise ExprError(f"unexpected token {t[1]!r} in {text!r}")
 
-    def unary() -> RationalFunction:
-        if peek() == ("op", "-"):
-            take()
-            return -unary()
-        if peek() == ("op", "+"):
-            take()
-            return unary()
-        a = atom()
+    def unary(depth: int) -> RationalFunction:
+        if depth > MAX_NESTING:
+            raise ExprError(f"expression nested more than {MAX_NESTING} deep")
+        if peek() in (("op", "-"), ("op", "+")):
+            op = take()[1]
+            a = unary(depth + 1)
+            return -a if op == "-" else a
+        a = atom(depth)
         if peek() == ("op", "^"):
             take()
             t = take()
@@ -642,23 +662,23 @@ def parse_rational(text: str, var: str | None = None) -> RationalFunction:
             a = a ** t[1]
         return a
 
-    def term() -> RationalFunction:
-        a = unary()
+    def term(depth: int) -> RationalFunction:
+        a = unary(depth)
         while peek() in (("op", "*"), ("op", "/")):
             op = take()[1]
-            b = unary()
+            b = unary(depth)
             a = a * b if op == "*" else a / b
         return a
 
-    def expr() -> RationalFunction:
-        a = term()
+    def expr(depth: int) -> RationalFunction:
+        a = term(depth)
         while peek() in (("op", "+"), ("op", "-")):
             op = take()[1]
-            b = term()
+            b = term(depth)
             a = a + b if op == "+" else a - b
         return a
 
-    result = expr()
+    result = expr(0)
     if pos != len(tokens):
         raise ExprError(f"trailing input {tokens[pos][1]!r} in {text!r}")
     if len(names) > 1:

@@ -10,7 +10,8 @@ its order-clipped operands first, so a zero tail costs no multiplication
 work: a series times a polynomial of d+1 terms is O(N*d), whether the
 polynomial comes as a ``Polynomial`` or as a padded series.  Division walks
 only the divisor's nonzero terms, O(N * nnz).  Results already N + 1 long are
-built by the trusted ``_of``, and zero and equality tests run at C speed.
+built by the trusted ``_of``, and zero and equality tests run at C speed.  An
+order past 2^24 is refused before allocation, by ``poly.check_size``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from fractions import Fraction
 from operator import add, neg
 from typing import Sequence
 
-from .poly import Polynomial, RationalFunction, _coerced, _exact_div, _Exact, _list_mul, _strip, _to_int_coeffs
+from .poly import (Polynomial, RationalFunction, _coerced, _exact_div, _Exact, _list_mul, _strip,
+                   _to_int_coeffs, check_size)
 
 
 class TruncatedSeries(_Exact):
@@ -172,16 +174,6 @@ class TruncatedSeries(_Exact):
 # ---------------------------------------------------------------------------
 
 NAMED_SERIES = ("F", "G", "H", "I")
-
-MAX_COEFFS = 1 << 24  # the cap on a size parameter: ``expand --name H --order 2^24`` takes 1.5 GB
-
-
-def check_size(what: str, size: int) -> int:
-    """``size``, or a ValueError, before anything is allocated, past the cap."""
-    if size > MAX_COEFFS:
-        raise ValueError(f"{what} {size} is over the cap of 2^24 = {MAX_COEFFS}")
-    return size
-
 
 # S(q) = q^e A(q^2) + q^(1-e) B(q^4) with S(0) = 1: name -> (e, A, B)
 _RULES = {"F": (0, "G", "F"), "G": (1, "F", "G"), "H": (0, "H", "H"), "I": (1, "I", "I")}

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -298,7 +299,8 @@ def test_fib_identity_cost_guard(capsys):
     assert time.monotonic() - t0 < 1.0
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("mahlerfold: error: 25 terms give exact values of up to 2^27 bits")
+    assert captured.err.startswith(
+        "mahlerfold: error: 25 terms: exact value bits 134217728 is over the cap of 2^20 = 1048576")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert main(["fib", "identity", "--id", "table-1", "--terms", "18"]) == 0
 
@@ -326,8 +328,7 @@ def test_cf_rho_cost_guard(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        "mahlerfold: error: rho_24 at 1/3 has exact values of up to 2^24 * 2 bits, "
-        "over the cap of 2^20 bits\n"
+        "mahlerfold: error: rho_24 at 1/3: exact value bits 33554432 is over the cap of 2^20 = 1048576\n"
     )
 
 
@@ -554,16 +555,42 @@ def test_cohn_stops_at_the_first_failing_level(capsys, monkeypatch):
     )
 
 
+def _address_space_2gb():
+    # a guard that stopped working would fail here with MemoryError, not exhaust the host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fold", "check", "--id", "rho-theorem", "--n", "40"],
-     "rho-theorem at level 40 compares polynomials of 2^40 coefficients"),
+     "rho-theorem at level 40: coefficients 1099511627776 is over the cap of 2^20 = 1048576"),
     (["fold", "cohn", "--poly", "x^4+1", "--mode", "sum", "--nmax", "8"],
-     "iterated polynomial degree 16384 exceeds cap 4096"),
-], ids=["rho-theorem-level", "cohn-degree"])
+     "iterated polynomial degree 16384 is over the cap of 2^12 = 4096"),
+    (["fold", "check", "--id", "rho-theorem", "--n", _HUGE], f"rho-theorem level {_HUGE} is over the cap"),
+    (["fib", "identity", "--id", "good", "--terms", _HUGE], f"terms {_HUGE} is over the cap"),
+    (["cf", "rho", "--point", "1/3", "--n", _HUGE], f"rho_{_HUGE} at 1/3: exponent bits"),
+    (["cf", "euclid", "--num", "x^99999999999", "--den", "1"],
+     "power's coefficient count 100000000000 is over the cap of 2^24 = 16777216"),
+    (["cf", "euclid", "--num", "2^99999999999", "--den", "1"],
+     "power's coefficient bits 99999999999 is over the cap of 2^20 = 1048576"),
+    (["cf", "euclid", "--num", "(1+x)^100000000", "--den", "1"], "power's coefficient count 100000001"),
+    (["hadamard", "product", "--a", "F", "--b", "1/(1-q^100000000)", "--order", "16"],
+     "power's coefficient count 100000001"),
+    (["cf", "euclid", "--num", "(" * 2000 + "x" + ")" * 2000, "--den", "1"],
+     "expression nested more than 100 deep"),
+    (["cf", "euclid", "--num=" + "-" * 5000 + "x", "--den", "1"], "expression nested more than 100 deep"),
+    (["cf", "rho", "--point", "0.5", "--n", "100000"],
+     "rho_100000 at 0.5: exponent bits 5000000000 is over the cap of 2^20 = 1048576"),
+    (["--bits", _HUGE, "fib", "identity", "--id", "good", "--terms", "4"],
+     f"--bits {_HUGE} is over the cap of 2^20 = 1048576"),
+    (["--bits", _HUGE, "cf", "rho", "--point", "0.5"], f"--bits {_HUGE} is over the cap of 2^20"),
+], ids=["rho-theorem-level", "cohn-degree", "rho-theorem-huge-level", "fib-huge-terms",
+        "cf-rho-huge-n-exact", "power-degree", "power-bits", "power-binomial", "hadamard-power",
+        "nested-parentheses", "prefix-signs", "cf-rho-numeric-n", "bits-fib", "bits-cf-rho"])
 def test_costly_requests_are_refused_before_the_work(argv, message):
     # the refusal comes from a cost estimate, not after hours of work
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
-    proc = subprocess.run([sys.executable, "-m", "mahlerfold.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=2)
+    proc = subprocess.run([sys.executable, "-m", "mahlerfold.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=2, preexec_fn=_address_space_2gb)
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"mahlerfold: error: {message}")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

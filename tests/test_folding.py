@@ -830,7 +830,5 @@ def test_specializable_cohn_sum_positive():
 
 
 def test_degree_cap():
-    from mahlerfold.folding import DegreeCapExceeded
-
-    with pytest.raises(DegreeCapExceeded, match="degree 16384 exceeds cap 4096"):
+    with pytest.raises(ValueError, match=r"degree 16384 is over the cap of 2\^12 = 4096"):
         specializable_iterated(parse_poly("x^4+1"), "cohn_sum", 8)

@@ -28,6 +28,10 @@ telescope_product_sum telescope_sum __version__
 """.split()
 
 EXACT_COMMANDS = [
+    ["cf", "euclid", "--num", "1+x+x^2+x^4+x^5", "--den", "1+x^2+x^4"],
+    ["cf", "eval", "--word", '{"head": 1, "entries": [2, 3]}'],
+    ["cf", "rho", "--point", "2/1", "--n", "4"],
+    ["cf", "rho", "--point", "root:1/4"],
     ["curve", "check", "--spec", "dragon", "--n", "10"],
     ["fold", "check", "--id", "rho-theorem", "--n", "8"],
     ["hadamard", "probe", "--f", "pow2", "--g", "1/(1-2*q)", "--dmax", "4", "--degmax", "8",

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,41 @@ def test_power_is_square_and_multiply():
     assert poly._power(Fraction(2, 3), 10, 1) == Fraction(2**10, 3**10)
     with pytest.raises(ValueError):
         x ** -1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^99999999999", "power's coefficient count 100000000000 is over the cap of 2^24 = 16777216"),
+    ("2^99999999999", "power's coefficient bits 99999999999 is over the cap of 2^20 = 1048576"),
+    ("(1+x)^100000000", "power's coefficient count 100000001 is over the cap of 2^24 = 16777216"),
+    ("1/(1-q^100000000)", "power's coefficient count 100000001 is over the cap of 2^24 = 16777216"),
+    ("(x/3)^1048577", "power's coefficient bits 2097154 is over the cap of 2^20 = 1048576"),
+])
+def test_powers_past_a_cap_are_refused_before_any_product(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_rational(text)
+    assert str(info.value) == message
+
+
+@given(st.lists(st.fractions(-40, 40, max_denominator=30), min_size=1, max_size=5), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_power_size_bound_holds(coeffs, n):
+    # |c| <= 2^bound for every numerator and denominator c of p^n, with the
+    # bound that __pow__ costs: n * ceil(log2 max(||P||_1, d)) for p = P/d
+    p = P(coeffs)
+    d = lcm(*(c.denominator for c in p.coeffs))
+    bound = n * (max(int(sum(map(abs, p.coeffs)) * d), d) - 1).bit_length()
+    for c in map(Fraction, (p**n).coeffs):
+        assert max(c.numerator.bit_length(), c.denominator.bit_length()) <= bound + 1
+
+
+def test_parser_nesting_is_bounded():
+    deepest = poly.MAX_NESTING
+    assert parse_poly("(" * deepest + "x" + ")" * deepest) == P([0, 1])
+    assert parse_poly("-" * deepest + "x") == P([0, 1])
+    for text in ("(" * (deepest + 1) + "x" + ")" * (deepest + 1), "-" * (deepest + 1) + "x",
+                 "(" * 2000 + "x" + ")" * 2000, "-" * 5000 + "x"):
+        with pytest.raises(ExprError, match=f"nested more than {deepest} deep"):
+            parse_rational(text)
 
 
 class _Counted:
