@@ -257,13 +257,12 @@ def cmd_curve(args) -> int:
     if args.curve_cmd == "render":
         paths = [path]
         if args.overlay is not None:
-            ospec, _, rest = args.overlay.partition(":")
-            level, _, transform = rest.partition(":")
+            ospec, _, level = args.overlay.removesuffix(":negrev").rpartition(":")
+            if not (ospec and level.isdecimal()):
+                raise ValueError(f"--overlay {args.overlay!r} is not SPEC:LEVEL[:negrev]")
             oword = folding.iterate_fold(ospec, int(level))
-            if transform == "negrev":
+            if args.overlay.endswith(":negrev"):
                 oword = folding.negated(oword[::-1])
-            elif transform:
-                raise ValueError(f"unknown overlay transform {transform!r}")
             paths.append(curve.path_from_signs(oword))
         svg = curve.export_svg(paths, palette=args.palette)
         if args.out == "-":
@@ -462,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--spec", required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--out", required=True, help="output file, or - for stdout")
-    q.add_argument("--overlay", help="second spec:iteration to draw on top")
+    q.add_argument("--overlay", help="SPEC:LEVEL[:negrev], a second curve drawn on top")
     q.add_argument("--palette", choices=list(curve.PALETTES), default="rainbow")
     q.set_defaults(func=cmd_curve)
     q = curve_sub.add_parser("check", parents=[common])

@@ -250,6 +250,9 @@ def test_fib_identity_table_row(capsys):
         ["fib", "identity", "--id", "lucas", "--terms", "3"],
         ["curve", "render", "--spec", "dragon", "--n", "3", "--out", "-", "--overlay", "rho"],
         ["hadamard", "probe", "--f", "F", "--g", "1/(1-x)", "--k", "0", "--dmax", "1"],
+        ["curve", "render", "--spec", "dragon", "--n", "3", "--out", "-", "--overlay", "rho:"],
+        ["curve", "render", "--spec", "dragon", "--n", "3", "--out", "-", "--overlay", "rho:x"],
+        ["curve", "render", "--spec", "dragon", "--n", "3", "--out", "-", "--overlay", "rho:8:rev"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -259,6 +262,8 @@ def test_bad_input_exits_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("mahlerfold: error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    if "--overlay" in argv:  # the message names the form that parses
+        assert "SPEC:LEVEL[:negrev]" in captured.err
 
 
 @pytest.mark.parametrize(

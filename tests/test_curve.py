@@ -1,13 +1,16 @@
+import io
 import random
 from array import array
+from itertools import accumulate, chain, pairwise, repeat, starmap
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerfold import curve
-from mahlerfold.curve import export_svg, path_from_signs, self_crossing
-from mahlerfold.folding import NAMED_SPECS, iterate_fold, parse_fold_spec, word_lengths
+from mahlerfold.curve import LatticePath, export_svg, path_from_signs, self_crossing
+from mahlerfold.folding import NAMED_SPECS, iterate_fold, negated, parse_fold_spec, word_lengths
 
 # -- reference: the vertex-tuple walk and the set-of-edge-tuples check ---------
 
@@ -39,6 +42,56 @@ def reference_crossing(vertices) -> int | None:
     return None
 
 
+# -- reference: whole-word headings, the set-based box and the per-edge SVG -----
+
+
+def reference_headings(word: bytes) -> bytes:
+    """Each edge's heading, one running sum over the whole word."""
+    return bytes(map(and_, accumulate(word, initial=0), repeat(3)))
+
+
+def reference_extent(headings_of_paths) -> tuple[int, int, int, int]:
+    """(minx, miny, maxx, maxy) from the sets of every vertex's x and y."""
+    xs, ys = (set(chain.from_iterable(axis)) for axis in zip(*map(curve._axes, headings_of_paths)))
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def reference_svg(paths, palette: str = "rainbow") -> str:
+    """One <line> per edge, each coordinate formatted and each color asked for."""
+    color = curve.PALETTES[palette]
+    minx, miny, maxx, maxy = reference_extent(reference_headings(path.word) for path in paths)
+    pad, scale = 1, 8
+    width = (maxx - minx + 2 * pad) * scale
+    height = (maxy - miny + 2 * pad) * scale
+    x0, y0 = (pad - minx) * scale, (maxy + pad) * scale
+    out = io.StringIO()
+    out.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
+        f'width="{width}" height="{height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n'
+    )
+    for path in paths:
+        vertices = reference_vertices(path.word)
+        for i, ((xa, ya), (xb, yb)) in enumerate(pairwise(vertices)):
+            out.write(
+                f'<line x1="{x0 + xa * scale}" y1="{y0 - ya * scale}" '
+                f'x2="{x0 + xb * scale}" y2="{y0 - yb * scale}" '
+                f'stroke="{color(i / path.edge_count)}" stroke-width="{scale // 4}" '
+                f'stroke-linecap="square"/>\n'
+            )
+    out.write("</svg>\n")
+    return out.getvalue()
+
+
+def assert_blocks_match_reference(*paths):
+    """The block walk's headings and box against the whole-word oracles."""
+    headings = [path.headings() for path in paths]
+    assert headings == [reference_headings(path.word) for path in paths]
+    for one in headings:
+        assert curve._extent([one]) == reference_extent([one])
+    assert curve._extent(headings) == reference_extent(headings)
+
+
 def grid_bytes_per_edge(vertices) -> float:
     """Bytes of the crossing check's edge grid over the box, per edge."""
     xs, ys = zip(*vertices)
@@ -54,6 +107,7 @@ def assert_matches_reference(word):
         assert tuple(path.vertices()) == vertices
         assert path.edge_count == len(vertices) - 1
         assert self_crossing(path) == reference_crossing(vertices)
+    assert_blocks_match_reference(path_from_signs(word), path_from_signs([-s for s in word]))
 
 
 REFERENCE_LETTERS = 200_000
@@ -273,3 +327,83 @@ def test_svg_palettes():
     assert rainbow != two_tone
     with pytest.raises(KeyError):
         export_svg(path, palette="nope")
+
+
+BLOCK_EDGE_LENGTHS = [0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096, 4097, 65537]
+
+
+@pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
+def test_blocks_match_reference_at_block_edges(length):
+    # random letters make every block distinct; fold-word prefixes repeat
+    # blocks, which start from every heading
+    rng = random.Random(length)
+    random_word = [rng.choice((1, -1)) for _ in range(length)]
+    prefixes = []
+    for name in ("dragon", "rho", "cubic"):
+        n = next(n for n in range(20) if word_lengths(name, n)[-1] >= length)
+        prefixes.append(iterate_fold(name, n)[:length])
+    assert all(len(word) == length for word in prefixes)
+    assert_blocks_match_reference(*map(path_from_signs, [random_word, *prefixes]))
+    for word in (random_word, *prefixes):
+        assert_blocks_match_reference(path_from_signs(word))
+
+
+@pytest.mark.parametrize("block", [1, 7, 12])
+def test_small_blocks_match_reference(monkeypatch, block):
+    # letters are odd turns, so a block of even length starts at an even
+    # heading; blocks of 1 and 7 letters start at every heading
+    monkeypatch.setattr(curve, "_BLOCK", block)
+    rng = random.Random(block)
+    for name in sorted(NAMED_SPECS):
+        n = next(n for n in range(20) if word_lengths(name, n)[-1] >= 3000)
+        assert_blocks_match_reference(path_from_signs(iterate_fold(name, n)))
+    for length in range(0, 300, 7):
+        assert_blocks_match_reference(path_from_signs([rng.choice((1, -1)) for _ in range(length)]))
+
+
+@pytest.mark.parametrize("name,walks", [("dragon", 2), ("rho", 5)])
+def test_each_distinct_block_is_walked_once(monkeypatch, name, walks):
+    # at level 19, 5 of dragon's 512 and of rho's 342 aligned blocks of 1024
+    # letters are distinct; turned to start east, their heading blocks are fewer
+    word = path_from_signs(iterate_fold(name, 19)).word
+    headings, box = reference_headings(word), reference_extent([reference_headings(word)])
+    sums, walked, axes = [], [], curve._axes
+    monkeypatch.setattr(curve, "accumulate", lambda *args, **kw: sums.append(args) or accumulate(*args, **kw))
+    assert LatticePath(word).headings() == headings
+    assert len(sums) == 5
+    monkeypatch.setattr(curve, "_axes", lambda block: walked.append(block) or axes(block))
+    assert curve._extent([headings]) == box
+    assert len(walked) == walks
+
+
+SVG_CASES = [("dragon", 1), ("dragon", 9), ("dragon", 12), ("rho", 4), ("rho", 11),
+             ("cubic", 3), ("cubic", 7), ("quintic", 2), ("quintic", 5)]
+
+
+@pytest.mark.parametrize("palette", sorted(curve.PALETTES))
+@pytest.mark.parametrize("name,n", SVG_CASES, ids=[f"{name}-{n}" for name, n in SVG_CASES])
+def test_svg_matches_per_edge_reference(name, n, palette):
+    path = path_from_signs(iterate_fold(name, n))
+    assert export_svg(path, palette) == reference_svg([path], palette)
+
+
+@pytest.mark.parametrize("palette", sorted(curve.PALETTES))
+def test_svg_overlay_matches_per_edge_reference(palette):
+    # curve render --spec rho --n 9 --overlay rho:8:negrev
+    paths = [path_from_signs(iterate_fold("rho", 9)),
+             path_from_signs(negated(iterate_fold("rho", 8)[::-1]))]
+    assert export_svg(paths, palette) == reference_svg(paths, palette)
+
+
+@pytest.mark.parametrize("palette", sorted(curve.PALETTES))
+def test_color_runs_match_every_edge(palette):
+    # each size's colors are worked out edge by edge once; the run finder reads
+    # them back by index, so that a size costs one pass of the palette
+    color = curve.PALETTES[palette]
+    assert curve._color_runs(color, 0) == []
+    for edges in sorted({*range(1, 1025), *(2**k + d for k in range(1, 17) for d in (-1, 0, 1))}):
+        colors = [color(i / edges) for i in range(edges)]
+        runs = curve._color_runs(lambda f: colors[round(f * edges)], edges)
+        assert list(chain.from_iterable(starmap(repeat, runs))) == colors
+        assert all(a != b for (a, _), (b, _) in pairwise(runs))  # each run is a whole color
+    assert curve._color_runs(color, edges) == runs  # the palette itself, at the largest size
