@@ -15,11 +15,10 @@ integral value comes back as an ``int``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .poly import MAX_RESULT_BITS_LOG2, Polynomial, RationalFunction, _exact_div, check_size
+from .poly import MAX_RESULT_BITS_LOG2, Polynomial, RationalFunction, _exact_div, _Record, check_size
 from .quadfield import PHI, GaussianRational, QuadNum
 from .series import TruncatedSeries, expand_named
 
@@ -36,12 +35,14 @@ class DivisionByZero(ArithmeticError):
         self.depth = depth
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A finite continued fraction [head; entries...]; head may be absent."""
 
-    entries: tuple
-    head: object = None
+    __slots__ = ("entries", "head")
+
+    def __init__(self, entries: tuple, head=None):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "head", head)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -58,8 +59,7 @@ class Word:
         return ([self.head] if self.head is not None else []) + list(self.entries)
 
 
-@dataclass(frozen=True)
-class ContinuantMatrix:
+class ContinuantMatrix(NamedTuple):
     """(p_n, p_{n-1}; q_n, q_{n-1}) for the word's convergents."""
 
     p: object
@@ -154,8 +154,7 @@ def _divide(b, v):
     return _exact_div(b, v)
 
 
-@dataclass(frozen=True)
-class IrregularCF:
+class IrregularCF(NamedTuple):
     """a_0 + b_1/(a_1 + b_2/(a_2 + ...)) stored as (b_i, a_i) pairs."""
 
     a0: object
@@ -314,8 +313,7 @@ def lambda_value(n: int, x, plus: bool = False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     kind: str  # "converged" | "parity_partial" | "divergent"
     value: object = None
     value_even: object = None

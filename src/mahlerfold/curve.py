@@ -13,9 +13,9 @@ import colorsys
 import io
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, pairwise, repeat, starmap
 from operator import add, and_, setitem
+from typing import NamedTuple
 
 _TURNS = bytes(1 if b == 1 else 0xFF for b in range(256))  # a signed byte to its turn
 # heading (0 east, 1 north, 2 west, 3 south) to its unit step's x and y
@@ -28,8 +28,7 @@ _SET_BLOCK = 1 << 12  # keys a sparse box adds to its set at C level at a time
 _SVG_LINES = 1 << 12  # lines export_svg joins into one string at a time
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(NamedTuple):
     word: bytes  # one signed byte a letter: 0x01 turns left, 0xFF turns right
 
     @property

@@ -9,9 +9,9 @@ Numerics enter only when a residual is embedded at a requested precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .contfrac import IrregularCF, eval_irregular
 from .poly import MAX_RESULT_BITS_LOG2, Polynomial, RationalFunction, check_size, parse_rational
@@ -74,8 +74,7 @@ def _eval_rf(f: RationalFunction, point: QuadNum, term: int) -> QuadNum:
     return f.num(point) / den
 
 
-@dataclass(frozen=True)
-class TelescopeReport:
+class TelescopeReport(NamedTuple):
     closed_form: QuadNum
     partial: QuadNum
     residual: QuadNum  # closed_form - partial, exact
@@ -101,8 +100,7 @@ def telescope_sum(f: RationalFunction, k: int, x0: QuadNum, terms: int) -> Teles
     return TelescopeReport(closed, partial, closed - partial, terms)
 
 
-@dataclass(frozen=True)
-class ProductSumReport:
+class ProductSumReport(NamedTuple):
     value: QuadNum  # f(x0)
     partial: QuadNum  # sum_{n<terms} prod_{m<n} g(x0^(k^m)) * h(x0^(k^n))
     tail: QuadNum  # prod_{m<terms} g * f(x0^(k^terms))
@@ -146,8 +144,7 @@ def telescope_product_sum(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     id: str
     expected: QuadNum
     computed: QuadNum
@@ -162,8 +159,7 @@ class IdentityResult:
         return (eps - delta).sign() > 0 and (eps + delta).sign() > 0
 
 
-@dataclass(frozen=True)
-class CFRow:
+class CFRow(NamedTuple):
     """Irregular CF with Binet-generated integer entries.
 
     head + num(1)/(den(1) + num(2)/(den(2) + ...)); ``value`` is the table's

@@ -21,11 +21,11 @@ from __future__ import annotations
 import re
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain, count, islice
+from typing import NamedTuple
 
 from .contfrac import ContinuantMatrix, Word, _identity_like, euclid_cf, eval_irregular, fold_matrix, IrregularCF
-from .poly import Polynomial, RationalFunction, check_size
+from .poly import Polynomial, RationalFunction, _Record, check_size
 from .series import TruncatedSeries
 
 
@@ -35,8 +35,7 @@ class FoldSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class RuleConst:
+class RuleConst(NamedTuple):
     sign: int  # +1 or -1
     parity: bool = False  # True: the letter is sign * (-1)^n * x
 
@@ -45,8 +44,7 @@ class RuleConst:
         return f"{s}s*x" if self.parity else f"{s}x"
 
 
-@dataclass(frozen=True)
-class RuleRef:
+class RuleRef(NamedTuple):
     depth: int  # refers to word n - depth
     reverse: bool = False
     negate: bool = False
@@ -55,8 +53,7 @@ class RuleRef:
         return ("-" if self.negate else "") + ("~" if self.reverse else "") + f"w{self.depth}"
 
 
-@dataclass(frozen=True)
-class RuleFold:
+class RuleFold(NamedTuple):
     u: tuple  # the run U, const, -~U, with U's own runs folded
     const: RuleConst
 
@@ -95,21 +92,23 @@ def _column_closed(items: tuple) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FoldSpec:
-    bases: tuple[tuple[int, ...], ...]
-    rule: tuple
-    folds: tuple = field(init=False, repr=False, compare=False)  # the rule, its runs folded
+class FoldSpec(_Record):
+    """Base words and a rule; ``folds`` is the rule with its runs folded."""
 
-    def __post_init__(self):
-        if not self.rule:
+    __slots__ = ("bases", "rule", "folds")
+
+    def __init__(self, bases: tuple[tuple[int, ...], ...], rule: tuple):
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "rule", rule)
+        if not rule:
             raise ValueError("rule must be non-empty")
         depth = self.max_depth()
-        if depth > len(self.bases):
-            raise ValueError(
-                f"rule refers {depth} levels back but only {len(self.bases)} bases are declared"
-            )
-        object.__setattr__(self, "folds", _find_folds(self.rule))
+        if depth > len(bases):
+            raise ValueError(f"rule refers {depth} levels back but only {len(bases)} bases are declared")
+        object.__setattr__(self, "folds", _find_folds(rule))
+
+    def _key(self) -> tuple:  # equal, hashed and shown by bases and rule; folds follow from them
+        return self.bases, self.rule
 
     def max_depth(self) -> int:
         return max((it.depth for it in self.rule if isinstance(it, RuleRef)), default=0)
@@ -578,8 +577,7 @@ def tilde_transforms(order: int):
     return f - odd, -g - odd
 
 
-@dataclass(frozen=True)
-class IJReport:
+class IJReport(NamedTuple):
     order: int
     # lowest index where a residual is nonzero or I/J leaves {0, ±1}
     first_failure: int | None
@@ -609,16 +607,16 @@ def ij_system_check(order: int) -> IJReport:
     i_s, j_s = ij_series(order)
     g6 = TruncatedSeries.one(order) / (1 + Polynomial.monomial(6))
     g12 = TruncatedSeries.one(order) / (1 + Polynomial.monomial(12))
-    eq1 = i_s - (j_s.substitute_power(2) + g6.shift(1))
-    eq2 = j_s - (i_s.substitute_power(2) - g6.shift(5))
-    it1 = i_s - (i_s.substitute_power(4) + g6.shift(1) - g12.shift(10))
-    it2 = j_s - (j_s.substitute_power(4) - g6.shift(5) + g12.shift(2))
-    residuals, units = (eq1, eq2, it1, it2), {0, 1, -1}
-    if all(r.is_zero() for r in residuals) and all(units.issuperset(s.coeffs) for s in (i_s, j_s)):
-        return IJReport(order, None)
-    nonzero = (i for r in residuals for i, c in enumerate(r.coeffs) if c)
-    out_of_range = (i for s in (i_s, j_s) for i, c in enumerate(s.coeffs) if c not in units)
-    return IJReport(order, min(chain(nonzero, out_of_range), default=None))
+    firsts = (  # each right side is built, compared and dropped in turn
+        i_s.first_difference(j_s.substitute_power(2) + g6.shift(1)),
+        j_s.first_difference(i_s.substitute_power(2) - g6.shift(5)),
+        i_s.first_difference(i_s.substitute_power(4) + g6.shift(1) - g12.shift(10)),
+        j_s.first_difference(j_s.substitute_power(4) - g6.shift(5) + g12.shift(2)),
+    )
+    units = {0, 1, -1}
+    out_of_range = (i for s in (i_s, j_s) if not units.issuperset(s.coeffs)
+                    for i, c in enumerate(s.coeffs) if c not in units)
+    return IJReport(order, min(chain((i for i in firsts if i is not None), out_of_range), default=None))
 
 
 def signed_even_subword(word: list[int]) -> list[int]:
@@ -720,8 +718,7 @@ def _solve_in_powers(target: Polynomial, factor: Polynomial, arg: Polynomial, de
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecializableReport:
+class SpecializableReport(NamedTuple):
     mode: str
     specializable: bool
     checked_up_to: int

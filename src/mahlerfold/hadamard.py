@@ -3,8 +3,8 @@ Becker homogenization rewrite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .linalg import first_null_vector, rank
 from .poly import Polynomial, RationalFunction, _to_int_coeffs, check_size
@@ -22,8 +22,7 @@ def hadamard_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompleteHadamardResult:
+class CompleteHadamardResult(NamedTuple):
     complete: bool
     m: int | None = None  # lcm of the root orders when complete
     witness: Polynomial | None = None  # a denominator factor with a non-root-of-unity root
@@ -69,8 +68,7 @@ def is_complete_hadamard_rational(f: RationalFunction) -> CompleteHadamardResult
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     k: int
     depth: int
     distinct: int
@@ -104,8 +102,7 @@ def k_kernel(seq, k: int, depth: int) -> KernelReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BeckerPiece:
+class BeckerPiece(NamedTuple):
     """One monomial piece c*q^n of the inhomogeneous term.
 
     ``constant_equation`` has constant inhomogeneity c and solves for
@@ -180,8 +177,7 @@ def _forced_or_zero(eq: MahlerEquation):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     found: MahlerEquation | None
     d_max: int
     deg_max: int

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import folding
 from .poly import MAX_RESULT_BITS_LOG2, Polynomial, check_size
 from .series import TruncatedSeries, expand_named, truncated_partial
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: str
     holds: bool
     first_failure: int | None

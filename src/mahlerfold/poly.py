@@ -5,12 +5,15 @@ arithmetic operators: ``int``, ``fractions.Fraction``, ``QuadNum``,
 ``GaussianRational``.  Integers are kept as integers (no forced promotion)
 so that the heavily used {0,1}-polynomials stay fast; mixed int/Fraction
 arithmetic is exact either way.  Every product goes through ``_list_mul``:
-schoolbook for a short or non-int operand, else one signed Kronecker product
+a shift of the other operand when one has a single term c*x^k, schoolbook for
+a short or non-int operand, else one signed Kronecker product
 (``_kronecker_mul``: one big-integer product, byte slots sized by Cauchy-Schwarz).
 
 ``_Exact``, ``_coerced`` and ``_power`` are the one arithmetic protocol of the
 exact element classes (here, in ``series`` and in ``quadfield``): a coerced
-binary method, subtraction, immutability and square-and-multiply.
+binary method, subtraction, immutability and square-and-multiply.  ``_Exact``
+is a ``_Record``, the one immutable slotted class; records without methods or
+checks of their own are NamedTuples.
 ``check_size`` is the one cost guard: a size known before the work (a size
 parameter, a power, an exact value's bits) is refused past its cap.
 """
@@ -20,8 +23,9 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import add, mul, not_
 from typing import Iterable, Sequence
 
 _LITTLE = sys.byteorder == "little"  # slots are little-endian; else ``array`` byteswaps
@@ -40,11 +44,9 @@ def check_size(what: str, size: int, cap_log2: int = MAX_COEFFS_LOG2) -> int:
     return size
 
 
-def _strip(coeffs: list) -> tuple:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
+def _strip(coeffs: Sequence) -> tuple:
+    zeros = len(list(takewhile(not_, reversed(coeffs))))  # the trailing zeros, counted at C speed
+    return tuple(coeffs[: len(coeffs) - zeros])
 
 
 def _slot_bytes(a: Sequence[int], b: Sequence[int]) -> int:
@@ -112,6 +114,12 @@ def _list_mul(a: Sequence, b: Sequence) -> list:
         return []
     if len(a) < len(b):
         a, b = b, a
+    for p, q in ((b, a), (a, b)):  # p = c x^k, so the product is q shifted and scaled
+        c = p[-1]
+        if c and (len(p) == 1 or not p[0] and p.count(0) == len(p) - 1):
+            out = [0] * (len(p) - 1)
+            out += [v * c if v else 0 for v in q]  # zeros stay int, as in the schoolbook loop
+            return out
     if len(b) > 8 and {int}.issuperset(map(type, a)) and {int}.issuperset(map(type, b)):
         return _kronecker_mul(a, b)
     # schoolbook with the short operand outside beats packing overhead
@@ -147,14 +155,37 @@ def _power(base, n: int, one):
     return result
 
 
-class _Exact:
+class _Record:
+    """Immutable record with its fields in ``__slots__``, set once by ``object.__setattr__``.
+    Equal, hashed and shown by ``_key()``: every slot in order, unless a subclass keys
+    by its leading slots alone."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class _Exact(_Record):
     """Immutable exact ring element; subclasses give ``_coerce``, ``__add__``
     and ``__neg__``, and subtraction follows from them."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @_coerced
     def __sub__(self, other):
@@ -169,7 +200,8 @@ class Polynomial(_Exact):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):  # strips trailing zeros
-        object.__setattr__(self, "coeffs", _strip(list(coeffs)))
+        coeffs = tuple(coeffs)
+        object.__setattr__(self, "coeffs", _strip(coeffs) if coeffs and not coeffs[-1] else coeffs)
 
     @classmethod
     def zero(cls) -> Polynomial:
@@ -227,6 +259,8 @@ class Polynomial(_Exact):
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, Polynomial):
             return Polynomial(_list_mul(self.coeffs, other.coeffs))
+        if type(other) is int and other in (0, 1):
+            return self if other else Polynomial.zero()
         if isinstance(other, (int, Fraction)) or _is_scalar(other):
             return Polynomial([c * other for c in self.coeffs])
         return NotImplemented
@@ -323,8 +357,7 @@ class Polynomial(_Exact):
         if not self.coeffs:
             return self
         out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
+        out[::k] = self.coeffs
         return Polynomial(out)
 
     def shift(self, k: int) -> Polynomial:

@@ -20,8 +20,8 @@ from fractions import Fraction
 from operator import add, neg
 from typing import Sequence
 
-from .poly import (Polynomial, RationalFunction, _coerced, _exact_div, _Exact, _list_mul, _strip,
-                   _to_int_coeffs, check_size)
+from .poly import (Polynomial, RationalFunction, _coerced, _exact_div, _Exact, _list_mul, _Record,
+                   _strip, _to_int_coeffs, check_size)
 
 
 class TruncatedSeries(_Exact):
@@ -258,7 +258,7 @@ def truncated_partial(name: str, n: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-class MahlerEquation:
+class MahlerEquation(_Record):
     """A(q) + A_0(q) f(q) + A_1(q) f(q^k) + ... + A_d(q) f(q^(k^d)) = 0.
 
     ``normalization``, when not None, is the value of f(0): it pins the
@@ -276,20 +276,6 @@ class MahlerEquation:
             raise ValueError("all A_i are zero")
         for name, value in zip(self.__slots__, (k, coeffs, inhomogeneous, normalization)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.k, self.coeffs, self.inhomogeneous, self.normalization
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is MahlerEquation else NotImplemented
-
-    def __repr__(self):
-        return "MahlerEquation(k={!r}, coeffs={!r}, inhomogeneous={!r}, normalization={!r})".format(*self._key())
 
     @property
     def depth(self) -> int:

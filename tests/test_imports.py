@@ -120,3 +120,39 @@ def test_series_builds_no_dataclass():
     # load dataclasses, whose classes exec generated methods at import
     result = fresh("import json, sys, mahlerfold.series\nprint(json.dumps('dataclasses' in sys.modules))")
     assert result is False
+
+
+def test_cli_import_builds_one_dataclass():
+    # the records are NamedTuples or plain classes; Identity stays a dataclass
+    # because the trace shim rebinds registry entries with dataclasses.replace
+    result = fresh(
+        "import json, sys, mahlerfold.cli\n"
+        "print(json.dumps(sorted(f'{name}.{c.__qualname__}' for name, module in list(sys.modules.items())\n"
+        "    if name.split('.')[0] == 'mahlerfold' for c in vars(module).values()\n"
+        "    if isinstance(c, type) and c.__module__ == name and '__dataclass_fields__' in vars(c))))"
+    )
+    assert result == ["mahlerfold.identities.Identity"]
+
+
+def test_records_compare_hash_and_refuse_assignment():
+    from mahlerfold.contfrac import Word
+    from mahlerfold.folding import FoldSpec, RuleConst, RuleRef, named_spec
+    from mahlerfold.poly import Polynomial
+    from mahlerfold.series import MahlerEquation
+
+    assert RuleConst(1) == RuleConst(1) and RuleConst(1) != RuleRef(1)
+    assert RuleRef(2, True) == RuleRef(2, reverse=True) != RuleRef(2, negate=True)
+    spec = named_spec("rho")
+    same = FoldSpec(spec.bases, spec.rule)
+    assert same == spec and hash(same) == hash(spec) and same.folds == spec.folds
+    assert len({RuleConst(-1), RuleConst(-1), RuleRef(1), spec, same}) == 3
+    assert repr(Word((1, 2), 3)) == "Word(entries=(1, 2), head=3)" and len(Word((1, 2))) == 2
+    assert repr(spec) == f"FoldSpec(bases={spec.bases!r}, rule={spec.rule!r})"
+    eq = MahlerEquation(2, [Polynomial.one()])
+    for record, name in ((RuleConst(1), "sign"), (RuleRef(1), "depth"), (spec, "rule"),
+                         (spec, "folds"), (Word((1,)), "head"), (eq, "k")):
+        try:
+            setattr(record, name, None)
+        except AttributeError:
+            continue
+        raise AssertionError(f"{type(record).__name__}.{name} was assigned")

@@ -190,6 +190,78 @@ def test_fraction_operands_fall_through_to_schoolbook(ints, fracs):
     assert all(type(c) is Fraction for c in two)
 
 
+def _schoolbook(a, b):
+    """The general path's loop: each nonzero x*y added onto an int 0, zeros left as int 0."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _same(out, ref):
+    assert list(out) == list(ref)
+    assert [type(c) for c in out] == [type(c) for c in ref]
+
+
+_fields = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4),
+    st.builds(QuadNum, st.fractions(-2, 2, max_denominator=3), st.integers(-2, 2)),
+)
+_dense = st.one_of(
+    st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=40),
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=20),
+    st.lists(_fields, min_size=1, max_size=20),
+).map(lambda c: P(c).coeffs or (1,))
+_terms = st.sampled_from([1, -1, 2, -2, Fraction(1), Fraction(-2, 3), QuadNum(1, 1), QuadNum(0, -1)])
+_single = st.builds(lambda c, k: (0,) * k + (c,), _terms, st.integers(0, 40))
+
+
+@given(_single, _dense, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_single_term_products_match_schoolbook(term, dense, term_first):
+    # c*x^k times a polynomial is a shift: same values, same coefficient
+    # types and no trailing zeros, whichever side the single term is on
+    a, b = (term, dense) if term_first else (dense, term)
+    ref = _schoolbook(a, b)
+    _same(_list_mul(a, b), ref)
+    product = (P(a) * P(b)).coeffs
+    _same(product, ref)
+    assert product[-1]
+
+
+@given(_dense, _dense)
+@settings(max_examples=100, deadline=None)
+def test_dense_products_match_schoolbook(a, b):
+    ref = _schoolbook(a, b)
+    _same(_list_mul(a, b), ref)
+    assert (P(a) * P(b)).coeffs[-1]
+
+
+@given(_dense, st.sampled_from([0, 1, -1, 2, Fraction(1), Fraction(-1, 2), QuadNum(1, 1)]))
+@settings(max_examples=100, deadline=None)
+def test_scalar_products_match_termwise(coeffs, s):
+    p = P(coeffs)
+    ref = P([c * s for c in coeffs]).coeffs
+    for product in (p * s, s * p):
+        _same(product.coeffs, ref)
+    if type(s) is int and s in (0, 1):
+        assert (p * s is p) == (s == 1) and not (p * 0).coeffs
+
+
+def test_single_term_operand_skips_kronecker(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError(f"Kronecker product of {len(a)} x {len(b)} coefficients")
+
+    monkeypatch.setattr(poly, "_kronecker_mul", refuse)
+    dense = P(range(-20, 20))
+    for k, c in ((0, -1), (30, 1), (50, -1), (9, 3)):
+        expected = (0,) * k + tuple(c * v for v in dense.coeffs)
+        assert (dense * P.monomial(k, c)).coeffs == expected == (P.monomial(k, c) * dense).coeffs
+
+
 def test_rational_function_normalization():
     r = RationalFunction(P([0, 2]), P([0, 0, 2]))  # 2x / 2x^2 = 1/x
     assert r.num == P([1])
