@@ -35,6 +35,8 @@ class FoldSyntaxError(ValueError):
         self.position = position
 
 
+# Rule items are NamedTuples, so each equals any tuple of the same values; _find_folds
+# therefore compares items by type as well as by value.
 class RuleConst(NamedTuple):
     sign: int  # +1 or -1
     parity: bool = False  # True: the letter is sign * (-1)^n * x
@@ -73,7 +75,8 @@ def _find_folds(rule: tuple) -> tuple:
         runs = (
             k for k in range((len(rule) - i - 1) // 2, 0, -1)
             if isinstance(rule[i + k], RuleConst)
-            and all(a == _mirror(b) for a, b in zip(rule[i + k + 1 :], reversed(rule[i : i + k])))
+            and all(type(a) is type(b) and a == _mirror(b)
+                    for a, b in zip(rule[i + k + 1 :], reversed(rule[i : i + k])))
         )
         k = next(runs, 0) if isinstance(rule[i], RuleRef) else 0
         out.append(RuleFold(_find_folds(rule[i : i + k]), rule[i + k]) if k else rule[i])

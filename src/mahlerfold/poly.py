@@ -259,7 +259,7 @@ class Polynomial(_Exact):
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, Polynomial):
             return Polynomial(_list_mul(self.coeffs, other.coeffs))
-        if type(other) is int and other in (0, 1):
+        if type(other) is int and other in (0, 1):  # the 1 and 0 of a continuant's head matrix
             return self if other else Polynomial.zero()
         if isinstance(other, (int, Fraction)) or _is_scalar(other):
             return Polynomial([c * other for c in self.coeffs])

@@ -136,12 +136,18 @@ def test_cli_import_builds_one_dataclass():
 
 def test_records_compare_hash_and_refuse_assignment():
     from mahlerfold.contfrac import Word
-    from mahlerfold.folding import FoldSpec, RuleConst, RuleRef, named_spec
+    from mahlerfold.folding import FoldSpec, RuleConst, RuleFold, RuleRef, _find_folds, named_spec
     from mahlerfold.poly import Polynomial
     from mahlerfold.series import MahlerEquation
 
     assert RuleConst(1) == RuleConst(1) and RuleConst(1) != RuleRef(1)
     assert RuleRef(2, True) == RuleRef(2, reverse=True) != RuleRef(2, negate=True)
+    # NamedTuples equal plain tuples of the same values, so nothing may tell items apart by ==
+    # alone: RuleConst and RuleFold both have two fields, and a RuleRef run is mirrored by type
+    assert RuleConst(1) == (1, False) and RuleFold((), RuleConst(1)) != RuleConst(1)
+    ref = RuleRef(1)
+    assert _find_folds((ref, RuleConst(1), RuleRef(1, True, True))) == (RuleFold((ref,), RuleConst(1)),)
+    assert _find_folds((ref, RuleConst(1), (1, True, True))) == (ref, RuleConst(1), (1, True, True))
     spec = named_spec("rho")
     same = FoldSpec(spec.bases, spec.rule)
     assert same == spec and hash(same) == hash(spec) and same.folds == spec.folds
