@@ -10,11 +10,11 @@ import importlib
 _EXPORTS = {
     "poly": "Polynomial RationalFunction parse_poly parse_rational",
     "quadfield": "PHI SQRT5 GaussianRational QuadNum",
-    "series": "MahlerEquation MahlerSolveError TruncatedSeries baum_sweet expand_named "
-    "fibbinary membership solve_mahler truncated_partial",
-    "identities": "IdentityReport identity_ids verify_series_identity",
+    "series": "MahlerEquation MahlerSolveError TruncatedSeries expand_named solve_mahler "
+    "truncated_partial",
+    "identities": "IdentityReport",
     "contfrac": "ContinuantMatrix DivisionByZero IrregularCF Word continuants euclid_cf "
-    "eval_irregular eval_regular fold lambda_word limit_classify product_to_H "
+    "eval_irregular eval_regular lambda_word limit_classify product_to_H "
     "rho_at_root_of_unity rho_cf rho_value",
     "folding": "FoldEngine FoldSpec FoldSyntaxError cohn_congruence_test fold_continuants "
     "ij_system_check iterate_fold named_spec parse_fold_spec sign_generating_functions "

@@ -198,23 +198,6 @@ def fold_matrix(a, c, length: int, t) -> ContinuantMatrix:
     return ContinuantMatrix(st * (a * a), 1 - stac, stac + 1, -st * (c * c))
 
 
-def fold(word: Word, a0, t) -> tuple[Word, ContinuantMatrix]:
-    """One folding step: [a0; w, t, -reverse(w)] and its continuants.
-
-    The matrix is (a0, 1; 1, 0) times ``fold_matrix`` of w, sign-normalized
-    by (-1)^len(w) so that the Folding Lemma formulas p' = q p t + (-1)^n and
-    q' = t q^2 (n = len(w), with (p, q) the continuants of [a0; w]) hold for
-    odd-length words as well; the literal Key Lemma product differs from them
-    by that global sign, which never affects the convergent.
-    """
-    if not t:
-        raise ValueError("fold requires t != 0")
-    folded = Word(tuple(word.entries) + (t,) + tuple(-a for a in reversed(word.entries)), a0)
-    base = continuants(Word(word.entries, a0))  # (p, q) = (a0 a + c, a) for (a, c) of M(w)
-    mat = _identity_like(a0).push(a0).mul(fold_matrix(base.q, base.p - a0 * base.q, len(word), t))
-    return folded, mat.scale(-1) if len(word.entries) % 2 else mat
-
-
 def euclid_cf(f: RationalFunction) -> Word:
     """Regular continued fraction of a rational function by polynomial Euclid.
 
@@ -272,11 +255,6 @@ def _lambda(n: int, x, plus: bool, power) -> Word:
     if plus:
         entries[-1] += 1
     return Word(tuple(entries), x)
-
-
-def rho_rational(n: int) -> RationalFunction:
-    """rho_n as a reduced rational function, equal to H_n(x)/H_{n-1}(x^2)."""
-    return eval_irregular(rho_cf(n), RationalFunction.x())
 
 
 def rho_value(n: int, x):

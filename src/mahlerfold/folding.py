@@ -432,18 +432,6 @@ def rho_head(n: int) -> Polynomial:
     return Polynomial.one() if n % 2 == 0 else Polynomial([1, 1])
 
 
-def fold_continuants_series(spec, n: int, order: int, head=None) -> ContinuantMatrix:
-    """Continuants computed in the truncated-series ring (prefix-exact)."""
-    engine = FoldEngine(spec, TruncatedSeries.x(order))
-    return engine.matrix(n) if head is None else engine.with_head(n, head)
-
-
-def fold_value(spec, n: int, x, head=None):
-    """p/q of [head; w_n] (or of w_n alone) at a scalar x, exactly."""
-    engine = FoldEngine(spec, x, column=True)
-    return (engine.matrix(n) if head is None else engine.with_head(n, head)).ratio()
-
-
 # ---------------------------------------------------------------------------
 # Specialization to regular continued fractions.
 # ---------------------------------------------------------------------------
@@ -478,26 +466,6 @@ def specialize(head: Polynomial, word: list[int]) -> Word:
             out.append(x_minus_1)
             flipped = not flipped
     return Word(tuple(out[1:]), out[0])
-
-
-def word_to_cf(head: Polynomial, word: list[int]) -> Word:
-    """[head; signs * x] as a Word over Q[x]."""
-    if not isinstance(head, Polynomial):
-        head = Polynomial.constant(head)
-    return Word(tuple(_X if s > 0 else -_X for s in word), head)
-
-
-def specialized_digits(spec, n: int, x_value: int, count: int) -> list[int]:
-    """First ``count`` integer partial quotients (head included) of the
-    specialized CF of w_n evaluated at an integer x."""
-    word = iterate_fold(spec, n)
-    sp = specialize(rho_head(n), word)
-    out = []
-    for sym in sp.symbols():
-        out.append(int(sym(x_value)))
-        if len(out) >= count:
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------

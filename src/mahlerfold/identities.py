@@ -201,8 +201,8 @@ REGISTRY: dict[str, Identity] = _table(
      "prefix", _check_hn_reversal),
 )
 
-# Kept out of REGISTRY, which verify_series_identity, identity_ids and the
-# per-identity counters of perfbench/trace_shim.py cover.
+# Kept out of REGISTRY, whose entries perfbench/trace_shim.py wraps in its
+# identities.run span; `fold check` offers only these.
 FOLD_CHECKS: dict[str, Identity] = _table(
     ("rho-theorem", "[s_n; w_n] has continuants (H_n, H_{n-1}(x^2))", "fold", _check_rho_theorem),
     ("fg-mahler", "Mahler equations of rho's word generating functions F, G",
@@ -213,17 +213,3 @@ FOLD_CHECKS: dict[str, Identity] = _table(
      "fold", _check_e_words),
 )
 
-
-def verify_series_identity(identity: str, order: int) -> IdentityReport:
-    """Run one registered identity at the given order / level budget."""
-    try:
-        ident = REGISTRY[identity]
-    except KeyError:
-        raise ValueError(
-            f"unknown identity {identity!r}; known: {sorted(REGISTRY)}"
-        ) from None
-    return ident.run(order)
-
-
-def identity_ids() -> list[str]:
-    return list(REGISTRY)

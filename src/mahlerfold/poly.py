@@ -403,16 +403,10 @@ class Polynomial(_Exact):
 
 def _to_int_coeffs(coeffs) -> list[int] | None:
     """Clear denominators to a primitive integer list; None if not rational."""
-    lcm = 1
-    for c in coeffs:
-        if type(c) is int:
-            continue
-        if isinstance(c, Fraction):
-            d = c.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        else:
-            return None
-    ints = [int(c * lcm) for c in coeffs]
+    if not {type(c) for c in coeffs} <= {int, Fraction}:
+        return None
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
     content = gcd(*ints)
     if content > 1:
         ints = [v // content for v in ints]

@@ -170,7 +170,7 @@ class TruncatedSeries(_Exact):
 
 
 # ---------------------------------------------------------------------------
-# The four named series F, G, H, I and their combinatorial membership rules.
+# The four named series F, G, H, I.
 # ---------------------------------------------------------------------------
 
 NAMED_SERIES = ("F", "G", "H", "I")
@@ -206,41 +206,6 @@ def expand_named(name: str, order: int) -> TruncatedSeries:
             out[q:hi:4] = coeffs[b][(q + e - 1) // 4 : (hi + e + 2) // 4]
         lo = hi
     return TruncatedSeries(coeffs[name], order)
-
-
-def fibbinary(n: int) -> int:
-    """1 when the binary expansion of n has no two adjacent ones.
-
-    Computed directly from the bits, independent of the H recursion.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return 0 if n & (n >> 1) else 1
-
-
-def baum_sweet(n: int) -> int:
-    """1 when the binary expansion of n has no odd-length block of zeros.
-
-    By convention baum_sweet(0) = 1.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    for block in bin(n)[2:].split("1"):
-        if len(block) % 2 == 1:
-            return 0
-    return 1
-
-
-MEMBERSHIP = {"fibbinary": fibbinary, "baum_sweet": baum_sweet}
-
-
-def membership(name: str, n: int) -> int:
-    try:
-        return MEMBERSHIP[name](n)
-    except KeyError:
-        raise ValueError(f"unknown membership rule {name!r}") from None
 
 
 def truncated_partial(name: str, n: int) -> Polynomial:

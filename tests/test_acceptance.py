@@ -30,7 +30,6 @@ from mahlerfold.fiblucas import (
 from mahlerfold.folding import (
     FoldEngine,
     fold_continuants,
-    fold_continuants_series,
     ij_series,
     ij_system_check,
     iterate_fold,
@@ -38,20 +37,20 @@ from mahlerfold.folding import (
     rho_head,
     rho_word_equations,
     specialize,
-    specialized_digits,
     word_lengths,
-    word_to_cf,
 )
 from mahlerfold.hadamard import (
     hadamard_mahler_probe,
     hadamard_product,
     is_complete_hadamard_rational,
 )
-from mahlerfold.identities import verify_series_identity
+from mahlerfold.identities import REGISTRY
 from mahlerfold.poly import Polynomial, RationalFunction, parse_rational
 from mahlerfold.quadfield import PHI
-from mahlerfold.series import TruncatedSeries, baum_sweet, expand_named, fibbinary
+from mahlerfold.series import TruncatedSeries, expand_named
 from mahlerfold.contfrac import continuants
+from reference import (baum_sweet, fibbinary, fold_continuants_series, specialized_digits,
+                       word_to_cf)
 
 P = Polynomial
 
@@ -85,11 +84,11 @@ def test_criterion_02_identity_suite():
     t0 = time.monotonic()
     for ident in ("propFGH", "cross-GG-qFF", "cross-FG4-qGF4",
                   "mahler4-F", "mahler4-G", "mahler4-H", "mahler4-I"):
-        report = verify_series_identity(ident, 512)
+        report = REGISTRY[ident].run(512)
         assert report.holds, ident
         assert report.checked == 512
     for ident in ("hn-nonlinear", "hn-combinatorial"):
-        report = verify_series_identity(ident, 1 << 12)
+        report = REGISTRY[ident].run(1 << 12)
         assert report.holds and report.checked == 12, ident
     _verdict(2, "series identities at order 512, H_n lemmas to n = 12", t0, bound=30.0)
 

@@ -16,7 +16,7 @@ from mahlerfold.contfrac import (
     euclid_cf,
     eval_irregular,
     eval_regular,
-    fold,
+    fold_matrix,
     irregular_continuants,
     lambda_value,
     lambda_word,
@@ -24,7 +24,6 @@ from mahlerfold.contfrac import (
     product_to_H,
     rho_at_root_of_unity,
     rho_cf,
-    rho_rational,
     rho_sum_over_roots,
     rho_value,
 )
@@ -84,12 +83,13 @@ def test_negate_reverse_involutions_commute(entries, head):
 
 
 def test_fold_value_scalar():
-    from mahlerfold.folding import fold_value, iterate_fold
+    from mahlerfold.folding import FoldEngine, iterate_fold
 
     word = Word(
         tuple(Fraction(2 * s) for s in iterate_fold("rho", 4)), Fraction(1)
     )
-    assert fold_value("rho", 4, Fraction(2), head=Fraction(1)) == eval_regular(word)
+    engine = FoldEngine("rho", Fraction(2), column=True)
+    assert engine.with_head(4, Fraction(1)).ratio() == eval_regular(word)
 
 
 @given(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=9))
@@ -186,12 +186,12 @@ def test_eval_regular_matches_literal_loop(entries, head):
 
 
 def test_integral_quotients_are_int():
-    from mahlerfold.folding import fold_value
+    from mahlerfold.folding import FoldEngine
 
     for value, expected in [
         (RationalFunction(P([0, 2]))(3), 6),
         (eval_regular(Word((1,), head=1)), 2),
-        (fold_value("dragon", 1, 1, head=1), 2),
+        (FoldEngine("dragon", 1, column=True).with_head(1, 1).ratio(), 2),
     ]:
         assert type(value) is int and value == expected
     assert continuants(Word((2,), head=2)).ratio() == Fraction(5, 2)
@@ -227,7 +227,7 @@ def _neg_arg(p):
 
 def test_rho_cf_rational_form():
     # rho_3 = (1+x+x^2+x^4+x^5)/(1+x^2+x^4) = H_3(x)/H_2(x^2)
-    r = rho_rational(3)
+    r = eval_irregular(rho_cf(3))
     assert r.num == P([1, 1, 1, 0, 1, 1])
     assert r.den == P([1, 0, 1, 0, 1])
     for n in range(0, 7):
@@ -235,7 +235,7 @@ def test_rho_cf_rational_form():
             truncated_partial("H", n),
             truncated_partial("H", n - 1).substitute_power(2),
         )
-        assert rho_rational(n) == expect
+        assert eval_irregular(rho_cf(n)) == expect
 
 
 def test_irregular_continuants_match_rho():
@@ -275,37 +275,43 @@ def test_lambda_plus_equals_I_quotient():
         assert lam.p * i_prev == i_n * lam.q
 
 
+def _fold(entries, a0, t) -> ContinuantMatrix:
+    """(a0, 1; 1, 0) times the Folding Lemma matrix of w = entries, checked
+    against the Key Lemma product over the literal word [a0; w, t, -~w]."""
+    m_w = ContinuantMatrix(1, 0, 0, 1)
+    for e in entries:
+        m_w = m_w.push(e)  # M(w), whose first column is (a, c)
+    mat = ContinuantMatrix(a0, 1, 1, 0).mul(fold_matrix(m_w.p, m_w.q, len(entries), t))
+    folded = Word(tuple(entries) + (t,) + tuple(-e for e in reversed(entries)), a0)
+    assert mat == continuants(folded)
+    return mat
+
+
 def test_fold_lemma_small():
-    # fold of p_1 = [x] with t = x gives word [x, x, -x] and the
-    # Folding Lemma continuants p = q1*p1*t + (-1)^1, q = t*q1^2
+    # folding p_1 = [x] with t = x gives [1; x, x, -x]; by the Folding Lemma
+    # its continuants are s (q1 p1 t + s) and s t q1^2 with s = (-1)^|w| = -1
     x = P.x()
-    word, mat = fold(Word((x,), P.one()), P.one(), x)
-    assert [str(e) for e in word.entries] == ["x", "x", "-x"]
-    assert mat.q == P.monomial(3)
-    assert mat.p == P([-1, 0, 1, 1])  # x^3 + x^2 - 1
+    mat = _fold((x,), P.one(), x)
+    assert mat.q == -P.monomial(3)
+    assert mat.p == P([1, 0, -1, -1])  # -(x^3 + x^2 - 1)
 
 
 def test_fold_one_step():
-    word, mat = fold(Word(()), Fraction(1), Fraction(3))
-    assert eval_regular(word) == Fraction(4, 3)
+    mat = _fold((), Fraction(1), Fraction(3))
+    assert eval_regular(Word((Fraction(3),), Fraction(1))) == Fraction(4, 3)
     assert mat.p == 4 and mat.q == 3
 
 
 @given(st.lists(st.integers(-5, 5).filter(bool), min_size=0, max_size=8),
-       st.integers(-5, 5), st.integers(-5, 5).filter(bool))
+       st.integers(-5, 5), st.integers(-5, 5))
 @settings(max_examples=100, deadline=None)
 def test_folding_lemma_identity(entries, head, t):
-    word = Word(tuple(Fraction(e) for e in entries), Fraction(head))
-    base = continuants(word)
-    n = len(entries)  # index of the last symbol of [head; entries]
-    folded, mat = fold(word, Fraction(head), Fraction(t))
-    assert mat.p == base.q * base.p * t + (-1) ** n
-    assert mat.q == t * base.q * base.q
-
-
-def test_fold_rejects_zero_t():
-    with pytest.raises(ValueError):
-        fold(Word((Fraction(1),)), Fraction(1), Fraction(0))
+    entries = tuple(Fraction(e) for e in entries)
+    base = continuants(Word(entries, Fraction(head)))
+    s = (-1) ** len(entries)
+    mat = _fold(entries, Fraction(head), Fraction(t))
+    assert mat.p == s * (base.q * base.p * t + s)
+    assert mat.q == s * t * base.q * base.q
 
 
 def test_folding_lemma_polynomial_words():
@@ -313,14 +319,13 @@ def test_folding_lemma_polynomial_words():
 
     rng = random.Random(3)
     x = P.x()
-    for _ in range(12):
-        length = rng.randint(0, 64)
+    for length in (*range(8), 31, 64):
         entries = tuple(x if rng.random() < 0.5 else -x for _ in range(length))
-        word = Word(entries, P.one())
-        base = continuants(word)
-        folded, mat = fold(word, P.one(), x)
-        assert mat.p == base.q * base.p * x + (-1) ** length
-        assert mat.q == x * base.q * base.q
+        base = continuants(Word(entries, P.one()))
+        s = (-1) ** length
+        mat = _fold(entries, P.one(), x)
+        assert mat.p == s * (base.q * base.p * x + s)
+        assert mat.q == s * x * base.q * base.q
 
 
 # -- euclid ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from mahlerfold.folding import (
     StabilizationError,
     cohn_congruence_test,
     fold_continuants,
-    fold_continuants_series,
     ij_series,
     ij_system_check,
     iterate_fold,
@@ -31,12 +30,11 @@ from mahlerfold.folding import (
     special_recursion_polys,
     specializable_iterated,
     specialize,
-    specialized_digits,
     word_lengths,
-    word_to_cf,
 )
 from mahlerfold.poly import Polynomial, RationalFunction, parse_poly
 from mahlerfold.series import TruncatedSeries, truncated_partial
+from reference import fold_continuants_series, specialized_digits, word_to_cf
 
 P = Polynomial
 

@@ -1,40 +1,35 @@
 import pytest
 
 from mahlerfold import identities
-from mahlerfold.identities import FOLD_CHECKS, REGISTRY, identity_ids, verify_series_identity
+from mahlerfold.identities import FOLD_CHECKS, REGISTRY
 from mahlerfold.identities import _level_report, _series_report
 from mahlerfold.poly import Polynomial
 from mahlerfold.series import TruncatedSeries, expand_named, truncated_partial
 
 
 def test_prop_fgh_holds_at_256():
-    report = verify_series_identity("propFGH", 256)
+    report = REGISTRY["propFGH"].run(256)
     assert report.holds and report.first_failure is None
 
 
 def test_cross_relation_holds_at_256():
-    assert verify_series_identity("cross-GG-qFF", 256).holds
-    assert verify_series_identity("cross-FG4-qGF4", 256).holds
+    assert REGISTRY["cross-GG-qFF"].run(256).holds
+    assert REGISTRY["cross-FG4-qGF4"].run(256).holds
 
 
-@pytest.mark.parametrize("ident", identity_ids())
+@pytest.mark.parametrize("ident", list(REGISTRY))
 def test_registry_all_hold_at_128(ident):
-    assert verify_series_identity(ident, 128).holds
+    assert REGISTRY[ident].run(128).holds
 
 
 def test_identities_exact_at_small_order():
     # exact identities hold at every order, even tiny ones
-    for ident in identity_ids():
-        assert verify_series_identity(ident, 8).holds
-
-
-def test_unknown_identity():
-    with pytest.raises(ValueError):
-        verify_series_identity("nope", 16)
+    for ident, entry in REGISTRY.items():
+        assert entry.run(8).holds, ident
 
 
 def test_hn_reversal_to_level_10():
-    report = verify_series_identity("hn-reversal", 2048)
+    report = REGISTRY["hn-reversal"].run(2048)
     assert report.holds
     assert report.checked == 10
 
@@ -57,8 +52,7 @@ def test_corrupted_coefficient_is_detected():
 
 
 def test_registry_metadata():
-    for ident in identity_ids():
-        entry = REGISTRY[ident]
+    for entry in REGISTRY.values():
         assert entry.kind in ("series", "prefix")
         assert entry.description
 

@@ -12,14 +12,13 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
-# every name mahlerfold/__init__.py imported eagerly before it became lazy
+# every name mahlerfold/__init__.py exports
 PACKAGE_NAMES = """
 Polynomial RationalFunction parse_poly parse_rational PHI SQRT5 GaussianRational QuadNum
-MahlerEquation MahlerSolveError TruncatedSeries baum_sweet expand_named fibbinary membership
-solve_mahler truncated_partial IdentityReport identity_ids verify_series_identity
-ContinuantMatrix DivisionByZero IrregularCF Word continuants euclid_cf eval_irregular
-eval_regular fold lambda_word limit_classify product_to_H rho_at_root_of_unity rho_cf rho_value
-FoldEngine FoldSpec FoldSyntaxError cohn_congruence_test fold_continuants ij_system_check
+MahlerEquation MahlerSolveError TruncatedSeries expand_named solve_mahler truncated_partial
+IdentityReport ContinuantMatrix DivisionByZero IrregularCF Word continuants euclid_cf
+eval_irregular eval_regular lambda_word limit_classify product_to_H rho_at_root_of_unity
+rho_cf rho_value FoldEngine FoldSpec FoldSyntaxError cohn_congruence_test fold_continuants ij_system_check
 iterate_fold named_spec parse_fold_spec sign_generating_functions special_recursion_polys
 specializable_iterated specialize LatticePath export_svg path_from_signs self_crossing
 KernelReport becker_homogenize hadamard_mahler_probe hadamard_product
@@ -36,6 +35,10 @@ EXACT_COMMANDS = [
     ["fold", "check", "--id", "rho-theorem", "--n", "8"],
     ["hadamard", "probe", "--f", "pow2", "--g", "1/(1-2*q)", "--dmax", "4", "--degmax", "8",
      "--order", "512"],
+    ["hadamard", "probe", "--f", "pow2", "--g", "1/(1-2*q)", "--dmax", "4", "--degmax", "8",
+     "--order", "2048", "--json"],
+    ["hadamard", "probe", "--f", "F", "--g", "1/(1-q)", "--k", "4", "--dmax", "2", "--degmax", "4",
+     "--order", "1024", "--json"],
     ["verify", "--all", "--order", "64"],
 ]
 
@@ -64,6 +67,7 @@ def fresh(code: str) -> dict:
 def test_exact_commands_do_not_load_mpmath():
     result = fresh(RUN_MAIN.format(commands=EXACT_COMMANDS))
     assert result["codes"] == [0] * len(EXACT_COMMANDS)
+    assert '"result": "recursion_found"' in result["out"]  # the F, k = 4 probe finds one
     assert not result["mpmath"]
 
 

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerfold.poly import Polynomial, RationalFunction, parse_rational
+from mahlerfold.poly import Polynomial, RationalFunction, _to_int_coeffs, parse_rational
+from mahlerfold.quadfield import QuadNum
 from mahlerfold.series import (
     MahlerEquation,
     MahlerSolveError,
     TruncatedSeries,
-    baum_sweet,
     expand_named,
-    fibbinary,
-    membership,
     solve_mahler,
     truncated_partial,
 )
+from reference import baum_sweet, fibbinary
 
 P = Polynomial
 TS = TruncatedSeries
@@ -55,7 +54,6 @@ def test_membership_examples():
     assert fibbinary(3) == 0  # binary 11
     assert baum_sweet(2) == 0  # binary 10
     assert baum_sweet(0) == 1
-    assert membership("fibbinary", 3) == 0
 
 
 def test_membership_agrees_with_series():
@@ -190,9 +188,9 @@ def test_prefix_recursions_hold_to_12():
 
 
 def test_all_prefix_recursions_to_12():
-    from mahlerfold.identities import verify_series_identity
+    from mahlerfold.identities import REGISTRY
 
-    report = verify_series_identity("hn-recursions", 1 << 12)
+    report = REGISTRY["hn-recursions"].run(1 << 12)
     assert report.holds and report.checked == 12
 
 
@@ -331,7 +329,7 @@ def test_from_rational_matches_sympy(num, den_tail, d0, order):
 
 def test_short_factor_products_skip_kronecker(monkeypatch):
     from mahlerfold import poly
-    from mahlerfold.identities import verify_series_identity
+    from mahlerfold.identities import REGISTRY
 
     def refuse(a, b):
         raise AssertionError(f"Kronecker product of {len(a)} x {len(b)} coefficients")
@@ -340,7 +338,7 @@ def test_short_factor_products_skip_kronecker(monkeypatch):
     # the re-substitution residual multiplies by A_i with at most 2 terms
     eq = _eq(2, [P.one(), P([-1]), P([0, -1])], norm=1)
     assert solve_mahler(eq, 4096).coeffs == expand_named("H", 4096).coeffs
-    assert verify_series_identity("mahler4-H", 4096).holds
+    assert REGISTRY["mahler4-H"].run(4096).holds
 
 
 # -- the per-coefficient loops, kept as references for the block fill and the
@@ -552,6 +550,12 @@ def test_from_rational_clears_to_an_integer_divisor():
     s = TS.from_rational(parse_rational("1/(1-2*q)"), 40)
     assert s.coeffs == tuple(2**n for n in range(41))
     assert all(type(c) is int for c in s.coeffs)
+    # the helper that clears them: a primitive int list, [] for no coefficients,
+    # None for any coefficient that is not an int or a Fraction
+    assert _to_int_coeffs([Fraction(1, 2), 3, Fraction(-2, 3)]) == [3, 18, -4]
+    assert _to_int_coeffs((Fraction(4), 6)) == [2, 3] and _to_int_coeffs([]) == []
+    for other in ([True, 1], [1, QuadNum(1, 1)], [Fraction(1, 2), 0.5]):
+        assert _to_int_coeffs(other) is None
 
 
 def test_from_rational_keeps_fraction_values_and_types():
