@@ -129,9 +129,12 @@ def _parse_point(text: str):
     import mpmath as mp
 
     try:
-        return mp.mpmathify(text)
-    except TypeError:
-        raise ValueError(f"bad point {text!r}") from None
+        point = mp.mpmathify(text)
+    except Exception:  # its parser's errors are undocumented: TypeError, AttributeError, ...
+        point = mp.nan
+    if not mp.isfinite(point):
+        raise ValueError(f"bad point {text!r}")
+    return point
 
 
 def _precision(point, bits: int):
@@ -147,6 +150,8 @@ def _parse_word_json(text: str) -> contfrac.Word:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("--word must be a JSON object")
+    if not isinstance(data.get("entries", []), list):
+        raise ValueError("--word entries must be a JSON list")
     entries = tuple(_parse_entry(e) for e in data.get("entries", []))
     head = data.get("head")
     return contfrac.Word(entries, _parse_entry(head) if head is not None else None)

@@ -1,4 +1,7 @@
-"""Continuant-matrix machinery for regular and irregular continued fractions.
+"""Continuant-matrix machinery for regular and irregular continued fractions:
+evaluation, the Folding Lemma matrix, the Euclidean CF of a rational
+function, the rho and lambda continued fractions and rho at 2^n-th roots of
+unity.
 
 Everything is generic over the coefficient ring: exact rationals, polynomials,
 rational functions, Q(sqrt5) elements or mpmath big-floats all work, since the
@@ -16,11 +19,11 @@ integral value comes back as an ``int``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .poly import MAX_RESULT_BITS_LOG2, Polynomial, RationalFunction, _exact_div, _Record, check_size
 from .quadfield import PHI, GaussianRational, QuadNum
-from .series import TruncatedSeries, expand_named
+from .series import TruncatedSeries
 
 
 class DivisionByZero(ArithmeticError):
@@ -287,50 +290,6 @@ def lambda_value(n: int, x, plus: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Numeric limit classification.
-# ---------------------------------------------------------------------------
-
-
-class LimitReport(NamedTuple):
-    kind: str  # "converged" | "parity_partial" | "divergent"
-    value: object = None
-    value_even: object = None
-    value_odd: object = None
-
-
-def limit_classify(values: Sequence, tol=None, start_parity: int = 0) -> LimitReport:
-    """Classify a truncation sequence by Cauchy behaviour at tolerance tol.
-
-    Converged: the full tail is Cauchy within tol.  Parity partial: the even
-    and odd subsequences are each Cauchy and their limits differ by more than
-    10*tol.  Anything else is divergent.  ``start_parity`` is the parity of
-    the index that produced values[0] (so the even/odd labels line up with
-    the caller's truncation levels).
-    """
-    values = list(values)
-    if len(values) < 8:
-        raise ValueError("need at least 8 values to classify a limit")
-    if tol is None:
-        import mpmath as mp
-
-        tol = mp.mpf(10) ** -30
-    tail = values[-6:]
-    if _cauchy(tail, tol):
-        return LimitReport("converged", value=tail[-1])
-    even = values[start_parity % 2 :: 2]
-    odd = values[1 - start_parity % 2 :: 2]
-    if _cauchy(even[-3:], tol) and _cauchy(odd[-3:], tol):
-        if abs(even[-1] - odd[-1]) > 10 * tol:
-            return LimitReport("parity_partial", value_even=even[-1], value_odd=odd[-1])
-        return LimitReport("converged", value=even[-1])
-    return LimitReport("divergent")
-
-
-def _cauchy(vals, tol) -> bool:
-    return all(abs(vals[i + 1] - vals[i]) <= tol for i in range(len(vals) - 1))
-
-
-# ---------------------------------------------------------------------------
 # rho at 2^n-th roots of unity.
 # ---------------------------------------------------------------------------
 
@@ -357,48 +316,3 @@ def rho_at_root_of_unity(n: int, a: int = 1, precision: int = 256):
     with mp.workprec(precision):
         zeta = mp.e ** (2j * mp.pi * a / (1 << n))
         return _unwind_rho(n, zeta, PHI.to_mp())
-
-
-def rho_sum_over_roots(n: int, precision: int = 256):
-    """sum of rho over all primitive 2^n-th roots of unity (numeric, n >= 2)."""
-    import mpmath as mp
-
-    with mp.workprec(precision):
-        total = mp.mpc(0)
-        for a in range(1, 1 << n, 2):
-            v = rho_at_root_of_unity(n, a, precision)
-            if isinstance(v, QuadNum):
-                v = v.to_mp()
-            total += v
-        return total
-
-
-# ---------------------------------------------------------------------------
-# The telescoping product to H (and the lambda+ analogue to I).
-# ---------------------------------------------------------------------------
-
-
-def product_to_H(x, terms: int, order: int, precision: int = 256, analogue: str = "rho"):
-    """|prod_k rho(x^(2^k)) - H(x)| at a point inside the unit disk.
-
-    ``analogue="lambda"`` checks prod lambda+(x^(2^k)) against I(x) instead
-    (the + variant is the one that converges inside the disk).
-    """
-    import mpmath as mp
-
-    with mp.workprec(precision):
-        xv = mp.mpf(x) if not isinstance(x, (complex, mp.mpc)) else mp.mpc(x)
-        if abs(xv) >= 1:
-            raise ValueError("point must lie inside the unit disk")
-        name = "H" if analogue == "rho" else "I"
-        series = expand_named(name, order)
-        target = series(xv)
-        prod = mp.mpf(1)
-        depth = max(24, order.bit_length() + 8)
-        for k in range(terms):
-            point = xv ** (1 << k)
-            if analogue == "rho":
-                prod *= rho_value(depth, point)
-            else:
-                prod *= lambda_value(depth, point, plus=True)
-        return abs(prod - target)

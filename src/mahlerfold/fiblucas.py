@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .contfrac import IrregularCF, eval_irregular
 from .poly import MAX_RESULT_BITS_LOG2, Polynomial, RationalFunction, check_size, parse_rational
-from .quadfield import PHI, SQRT5, QuadNum
+from .quadfield import PHI, QuadNum
 
 
 def fib_pair(n: int) -> tuple[int, int]:
@@ -41,26 +41,6 @@ def lucas(n: int) -> int:
     return 2 * b - a
 
 
-def binet_residual(n: int) -> QuadNum:
-    """(phi^n - (-1/phi)^n)/sqrt5 - F_n, exactly; must be zero."""
-    phi_n = PHI**n
-    alt = (-(PHI.inverse())) ** n
-    return (phi_n - alt) / SQRT5 - QuadNum(fib(n), 0)
-
-
-def lucas_binet_residual(n: int) -> QuadNum:
-    """phi^n + (-phi)^(-n) - L_n, exactly; must be zero."""
-    return PHI**n + ((-PHI) ** n).inverse() - QuadNum(lucas(n), 0)
-
-
-def _abs_mp(value: QuadNum, precision: int):
-    """|value| embedded numerically at ``precision`` bits."""
-    import mpmath as mp
-
-    with mp.workprec(precision):
-        return abs(value.to_mp())
-
-
 class PoleHit(ArithmeticError):
     def __init__(self, term: int):
         super().__init__(f"rational function has a pole at x0^(k^{term})")
@@ -79,9 +59,6 @@ class TelescopeReport(NamedTuple):
     partial: QuadNum
     residual: QuadNum  # closed_form - partial, exact
     terms: int
-
-    def residual_mp(self, precision: int = 256):
-        return _abs_mp(self.residual, precision)
 
 
 def telescope_sum(f: RationalFunction, k: int, x0: QuadNum, terms: int) -> TelescopeReport:
@@ -106,9 +83,6 @@ class ProductSumReport(NamedTuple):
     tail: QuadNum  # prod_{m<terms} g * f(x0^(k^terms))
     exact: bool  # value == partial + tail
     terms: int
-
-    def residual_mp(self, precision: int = 256):
-        return _abs_mp(self.value - self.partial, precision)
 
 
 def telescope_product_sum(
@@ -151,7 +125,11 @@ class IdentityResult(NamedTuple):
     terms: int
 
     def delta_mp(self, precision: int = 256):
-        return _abs_mp(self.expected - self.computed, precision)
+        """|expected - computed| embedded numerically at ``precision`` bits."""
+        import mpmath as mp
+
+        with mp.workprec(precision):
+            return abs((self.expected - self.computed).to_mp())
 
     def within(self, bits: int) -> bool:
         """|expected - computed| < 2^-bits, decided exactly."""
@@ -294,21 +272,6 @@ def hideyuki_identity(terms: int) -> IdentityResult:
         total = total + denom.inverse()
     expected = QuadNum(Fraction(-3, 2), Fraction(1, 2))
     return IdentityResult("hideyuki", expected, total, terms)
-
-
-def good_telescope_terms(terms: int) -> list[QuadNum]:
-    """g(phi^(-2^n)) for g = f - f(x^2), f = sqrt5/(1-x); equals 1/F(2^n)
-    for n >= 1 (the n = 0 term is sqrt5, the head the display fixes up)."""
-    one = Polynomial.constant(QuadNum(1, 0))
-    f = RationalFunction(
-        Polynomial.constant(SQRT5), one - Polynomial.monomial(1, QuadNum(1, 0))
-    )
-    out = []
-    point = PHI.inverse()
-    for n in range(terms):
-        out.append(_eval_rf(f, point, n) - _eval_rf(f, point**2, n))
-        point = point**2
-    return out
 
 
 IDENTITIES = {

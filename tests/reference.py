@@ -1,14 +1,20 @@
 """Oracles and helpers that only tests use: the membership rules of H and I,
-the literal continued fraction of a sign word, continuants in the series ring
-and the digits of a specialized continued fraction.
+the literal continued fraction of a sign word, continuants in the series ring,
+the digits of a specialized continued fraction, the numeric sum of rho over
+the primitive 2^n-th roots of unity, the Binet residuals and the terms of
+Good's telescoping sum.
 
 No command reaches these, so they live beside the tests rather than in
 ``src/`` (``tests/test_reach.py``).
 """
 
-from mahlerfold.contfrac import ContinuantMatrix, Word
+import mpmath as mp
+
+from mahlerfold.contfrac import ContinuantMatrix, Word, rho_at_root_of_unity
+from mahlerfold.fiblucas import _eval_rf, fib, lucas
 from mahlerfold.folding import FoldEngine, iterate_fold, rho_head, specialize
-from mahlerfold.poly import Polynomial
+from mahlerfold.poly import Polynomial, RationalFunction
+from mahlerfold.quadfield import PHI, SQRT5, QuadNum
 from mahlerfold.series import TruncatedSeries
 
 
@@ -61,4 +67,43 @@ def specialized_digits(spec, n: int, x_value: int, count: int) -> list[int]:
         out.append(int(sym(x_value)))
         if len(out) >= count:
             break
+    return out
+
+
+def rho_sum_over_roots(n: int, precision: int = 256):
+    """sum of rho over all primitive 2^n-th roots of unity (numeric, n >= 2)."""
+    with mp.workprec(precision):
+        total = mp.mpc(0)
+        for a in range(1, 1 << n, 2):
+            v = rho_at_root_of_unity(n, a, precision)
+            if isinstance(v, QuadNum):
+                v = v.to_mp()
+            total += v
+        return total
+
+
+def binet_residual(n: int) -> QuadNum:
+    """(phi^n - (-1/phi)^n)/sqrt5 - F_n, exactly; must be zero."""
+    phi_n = PHI**n
+    alt = (-(PHI.inverse())) ** n
+    return (phi_n - alt) / SQRT5 - QuadNum(fib(n), 0)
+
+
+def lucas_binet_residual(n: int) -> QuadNum:
+    """phi^n + (-phi)^(-n) - L_n, exactly; must be zero."""
+    return PHI**n + ((-PHI) ** n).inverse() - QuadNum(lucas(n), 0)
+
+
+def good_telescope_terms(terms: int) -> list[QuadNum]:
+    """g(phi^(-2^n)) for g = f - f(x^2), f = sqrt5/(1-x); equals 1/F(2^n)
+    for n >= 1 (the n = 0 term is sqrt5, the head the display fixes up)."""
+    one = Polynomial.constant(QuadNum(1, 0))
+    f = RationalFunction(
+        Polynomial.constant(SQRT5), one - Polynomial.monomial(1, QuadNum(1, 0))
+    )
+    out = []
+    point = PHI.inverse()
+    for n in range(terms):
+        out.append(_eval_rf(f, point, n) - _eval_rf(f, point**2, n))
+        point = point**2
     return out

@@ -13,14 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from mahlerfold.contfrac import (
-    irregular_continuants,
-    lambda_value,
-    rho_at_root_of_unity,
-    rho_cf,
-    rho_sum_over_roots,
-    rho_value,
-)
+from mahlerfold.contfrac import continuants, lambda_value, rho_at_root_of_unity, rho_value
 from mahlerfold.curve import export_svg, path_from_signs, self_crossing
 from mahlerfold.fiblucas import (
     IDENTITY_IDS,
@@ -29,11 +22,9 @@ from mahlerfold.fiblucas import (
 )
 from mahlerfold.folding import (
     FoldEngine,
-    fold_continuants,
     ij_series,
     ij_system_check,
     iterate_fold,
-    named_spec,
     rho_head,
     rho_word_equations,
     specialize,
@@ -45,12 +36,11 @@ from mahlerfold.hadamard import (
     is_complete_hadamard_rational,
 )
 from mahlerfold.identities import REGISTRY
-from mahlerfold.poly import Polynomial, RationalFunction, parse_rational
+from mahlerfold.poly import Polynomial, parse_rational
 from mahlerfold.quadfield import PHI
 from mahlerfold.series import TruncatedSeries, expand_named
-from mahlerfold.contfrac import continuants
-from reference import (baum_sweet, fibbinary, fold_continuants_series, specialized_digits,
-                       word_to_cf)
+from reference import (baum_sweet, fibbinary, fold_continuants_series, rho_sum_over_roots,
+                       specialized_digits, word_to_cf)
 
 P = Polynomial
 

@@ -253,6 +253,14 @@ def test_fib_identity_table_row(capsys):
         ["curve", "render", "--spec", "dragon", "--n", "3", "--out", "-", "--overlay", "rho:"],
         ["curve", "render", "--spec", "dragon", "--n", "3", "--out", "-", "--overlay", "rho:x"],
         ["curve", "render", "--spec", "dragon", "--n", "3", "--out", "-", "--overlay", "rho:8:rev"],
+        ["cf", "eval", "--word", '{"entries": 5}'],
+        ["cf", "eval", "--word", '{"entries": null}'],
+        ["cf", "eval", "--word", '{"entries": true}'],
+        ["cf", "rho", "--point", "1j/2"],
+        ["cf", "rho", "--point", "1/2j"],
+        ["cf", "eval", "--word", '{"head": 1, "entries": [2, 3]}', "--at", "1j/2"],
+        ["cf", "rho", "--point", "nan"],
+        ["cf", "rho", "--point", "inf"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -20,16 +20,14 @@ from mahlerfold.contfrac import (
     irregular_continuants,
     lambda_value,
     lambda_word,
-    limit_classify,
-    product_to_H,
     rho_at_root_of_unity,
     rho_cf,
-    rho_sum_over_roots,
     rho_value,
 )
 from mahlerfold.poly import Polynomial, RationalFunction
 from mahlerfold.quadfield import PHI, GaussianRational, QuadNum
-from mahlerfold.series import expand_named, truncated_partial
+from mahlerfold.series import TruncatedSeries, expand_named, truncated_partial
+from reference import rho_sum_over_roots
 
 P = Polynomial
 
@@ -396,21 +394,39 @@ def test_euclid_matches_sympy(num, den, common):
     assert to_sympy(mat.p) * to_sympy(pden) == to_sympy(mat.q) * to_sympy(pnum)
 
 
-# -- limit classification ----------------------------------------------------
+# -- rho and lambda+ as Mahler quotients ------------------------------------
 
-def test_limit_classify_converged_inside_disk():
-    with mp.workprec(256):
-        vals = [rho_value(n, mp.mpf(1) / 2) for n in range(4, 25)]
-        report = limit_classify(vals, tol=mp.mpf(10) ** -30, start_parity=0)
-    assert report.kind == "converged"
+def _series_quotient(mat, order):
+    """p/q of a continuant matrix as a power series to ``order``."""
+    return TruncatedSeries.from_poly(mat.p, order) / TruncatedSeries.from_poly(mat.q, order)
 
 
-def test_limit_classify_parity_partial_outside_disk():
-    with mp.workprec(256):
-        vals = [rho_value(n, mp.mpf(2)) for n in range(4, 25)]
-        report = limit_classify(vals, tol=mp.mpf(10) ** -30, start_parity=0)
-    assert report.kind == "parity_partial"
-    assert abs(report.value_even - report.value_odd) > mp.mpf(10) ** -6
+def _mahler_quotient(name, k, order):
+    """S(x)/S(x^k) for the named series S, to ``order``."""
+    series = expand_named(name, order)
+    return series / series.substitute_power(k)
+
+
+def test_rho_cf_is_H_quotient_below_2_to_n_plus_1():
+    # inside the disk rho = H(x)/H(x^2); rho_n agrees with it exactly below
+    # index 2^(n+1) - 1 and not at that index
+    for n in range(1, 9):
+        order = (1 << (n + 1)) - 1
+        rho = _series_quotient(irregular_continuants(rho_cf(n)), order)
+        assert rho.first_difference(_mahler_quotient("H", 2, order)) == order
+
+
+def test_rho_parity_limits_outside_disk():
+    # for |x| > 1, x -> 1/x turns rho's functional equation into Dilcher and
+    # Stolarsky's F and G: even levels tend to F(1/x)/G(1/x^2), odd levels to
+    # x G(1/x)/F(1/x^2), and the two limits differ
+    with mp.workprec(200):
+        f, g = expand_named("F", 400), expand_named("G", 400)
+        for x in (mp.mpf(2), mp.mpf(-3) / 2, mp.mpc("1.2", "0.7")):
+            even, odd = f(1 / x) / g(x**-2), x * g(1 / x) / f(x**-2)
+            assert abs(rho_value(20, x) - even) <= mp.mpf(10) ** -50
+            assert abs(rho_value(21, x) - odd) <= mp.mpf(10) ** -50
+            assert abs(even - odd) > mp.mpf(1) / 10
 
 
 def test_negative_levels_raise_at_points():
@@ -421,27 +437,18 @@ def test_negative_levels_raise_at_points():
         rho_value(-1, mp.mpf(2))
 
 
-def test_limit_classify_needs_values():
-    with pytest.raises(ValueError):
-        limit_classify([1.0] * 7)
-
-
-def test_limit_classify_divergent():
-    with mp.workprec(64):
-        values = [mp.mpf((-2) ** n) for n in range(12)]
-        assert limit_classify(values, tol=mp.mpf(10) ** -10).kind == "divergent"
-
-
 def test_lambda_plus_converges_to_I_quotient():
+    # lambda_n^+ agrees with I(x)/I(x^2) exactly below index 2^n
+    for n in range(2, 10):
+        order = 1 << n
+        lam = _series_quotient(continuants(lambda_word(n, plus=True)), order)
+        assert lam.first_difference(_mahler_quotient("I", 2, order)) == order
     with mp.workprec(200):
         i_series = expand_named("I", 300)
         x = mp.mpf(1) / 2
+        lam = lambda_value(15, Fraction(1, 2), plus=True)
         target = i_series(x) / i_series(x * x)
-        vals = [lambda_value(n, Fraction(1, 2), plus=True) for n in range(4, 16)]
-        vals = [mp.mpf(v.numerator) / v.denominator for v in vals]
-        report = limit_classify(vals, tol=mp.mpf(10) ** -25, start_parity=0)
-        assert report.kind == "converged"
-        assert abs(report.value - target) < mp.mpf(10) ** -20
+        assert abs(mp.mpf(lam.numerator) / lam.denominator - target) < mp.mpf(10) ** -20
 
 
 # -- roots of unity ----------------------------------------------------------
@@ -470,15 +477,20 @@ def test_rho_sum_over_roots():
 
 # -- telescoping product -----------------------------------------------------
 
+def _assert_telescopes(mat, name, order):
+    """prod_{k<K} r(x^(2^k)) = S(x)/S(x^(2^K)) below ``order`` for K = 1..5,
+    where r = p/q of ``mat`` agrees with S(x)/S(x^2) below ``order``."""
+    quotient = _series_quotient(mat, order)
+    prod = TruncatedSeries.one(order)
+    for levels in range(1, 6):
+        prod = prod * quotient.substitute_power(1 << (levels - 1))
+        assert prod.first_difference(_mahler_quotient(name, 1 << levels, order)) == order
+
+
 def test_product_to_H():
-    residual = product_to_H(mp.mpf(3) / 10, terms=12, order=64)
-    assert residual < mp.mpf(10) ** -15
-
-
-def test_product_to_H_at_zero():
-    assert product_to_H(mp.mpf(0), terms=3, order=8) == 0
+    _assert_telescopes(irregular_continuants(rho_cf(8)), "H", 511)
 
 
 def test_product_to_I_lambda_analogue():
-    residual = product_to_H(mp.mpf(1) / 2, terms=40, order=256, analogue="lambda")
-    assert residual < mp.mpf(10) ** -10
+    # the + variant is the one that converges inside the disk
+    _assert_telescopes(continuants(lambda_word(8, plus=True)), "I", 256)

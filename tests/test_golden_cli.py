@@ -37,8 +37,11 @@ CASES = {
     "hadamard-probe": ["hadamard", "probe", "--f", "pow2", "--g", "1/(1-2*q)", "--dmax", "4",
                        "--degmax", "8", "--order", "512"],
     "fib-good-json": ["fib", "identity", "--id", "good", "--terms", "10", "--json"],
-    # rho at an exact rational point and at a root of unity at high precision
+    # rho at an exact rational point, at mpmath decimal and complex points and
+    # at a root of unity at high precision
     "cf-rho-half-10": ["cf", "rho", "--point", "1/2", "--n", "10"],
+    "cf-rho-decimal-half-10": ["cf", "rho", "--point", "0.5", "--n", "10"],
+    "cf-rho-complex-4": ["cf", "rho", "--point", "(1+2j)", "--n", "4"],
     "cf-rho-root-5-16-512": ["cf", "rho", "--point", "root:5/16", "--bits", "512"],
     # the exact root-of-unity branches: Q(sqrt5) at +-1, Q(i, sqrt5) at +-i
     "cf-rho-root-1-1": ["cf", "rho", "--point", "root:1/1"],
@@ -50,6 +53,8 @@ CASES = {
     "cf-eval-poly": ["cf", "eval", "--word", '{"head": "x", "entries": ["x^2", "-x", "1/2"]}'],
     "cf-eval-poly-at-third": ["cf", "eval", "--word", '{"head": "x", "entries": ["x^2", "-x"]}',
                               "--at", "1/3"],
+    "cf-eval-poly-at-decimal-half": ["cf", "eval", "--word",
+                                     '{"head": "x", "entries": ["x^2", "-x"]}', "--at", "0.5"],
     "fold-iterate-dragon-6-continuants": ["fold", "iterate", "--spec", "dragon", "--n", "6",
                                           "--continuants"],
     "fold-cohn-x2-sum": ["fold", "cohn", "--poly", "x^2", "--mode", "sum", "--nmax", "4"],

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,7 @@ from mahlerfold.hadamard import (
     k_kernel,
     recombine_becker,
 )
-from mahlerfold.poly import Polynomial, RationalFunction, parse_rational
+from mahlerfold.poly import Polynomial, parse_rational
 from mahlerfold.series import MahlerEquation, TruncatedSeries, expand_named, solve_mahler
 
 P = Polynomial

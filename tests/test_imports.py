@@ -1,9 +1,11 @@
-"""What a fresh process imports.
+"""What a fresh process imports, and what a module imports but never uses.
 
-Each check runs in its own interpreter, because the test modules themselves
-import mpmath and every mahlerfold module.
+Each process check runs in its own interpreter, because the test modules
+themselves import mpmath and every mahlerfold module.
 """
 
+import ast
+import glob
 import importlib.util
 import json
 import os
@@ -17,12 +19,12 @@ PACKAGE_NAMES = """
 Polynomial RationalFunction parse_poly parse_rational PHI SQRT5 GaussianRational QuadNum
 MahlerEquation MahlerSolveError TruncatedSeries expand_named solve_mahler truncated_partial
 IdentityReport ContinuantMatrix DivisionByZero IrregularCF Word continuants euclid_cf
-eval_irregular eval_regular lambda_word limit_classify product_to_H rho_at_root_of_unity
-rho_cf rho_value FoldEngine FoldSpec FoldSyntaxError cohn_congruence_test fold_continuants ij_system_check
+eval_irregular eval_regular lambda_word rho_at_root_of_unity rho_cf rho_value FoldEngine
+FoldSpec FoldSyntaxError cohn_congruence_test fold_continuants ij_system_check
 iterate_fold named_spec parse_fold_spec sign_generating_functions special_recursion_polys
 specializable_iterated specialize LatticePath export_svg path_from_signs self_crossing
 KernelReport becker_homogenize hadamard_mahler_probe hadamard_product
-is_complete_hadamard_rational k_kernel binet_residual cf_identity_table fib lucas run_identity
+is_complete_hadamard_rational k_kernel cf_identity_table fib lucas run_identity
 telescope_product_sum telescope_sum __version__
 """.split()
 
@@ -166,3 +168,25 @@ def test_records_compare_hash_and_refuse_assignment():
         except AttributeError:
             continue
         raise AssertionError(f"{type(record).__name__}.{name} was assigned")
+
+
+def _unused_imports(path: str) -> list[str]:
+    """Names bound by the module-level imports of ``path`` that no other
+    statement of the module reads (``__future__`` imports excepted)."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_no_unused_imports():
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "mahlerfold", "*.py"))
+                   + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    assert len(paths) > 20
+    unused = {os.path.relpath(p, ROOT): names for p in paths if (names := _unused_imports(p))}
+    assert unused == {}
