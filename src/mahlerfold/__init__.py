@@ -14,13 +14,13 @@ _EXPORTS = {
     "truncated_partial",
     "identities": "IdentityReport",
     "contfrac": "ContinuantMatrix DivisionByZero IrregularCF Word continuants euclid_cf "
-    "eval_irregular eval_regular lambda_word rho_at_root_of_unity rho_cf rho_value",
+    "eval_irregular eval_regular rho_at_root_of_unity rho_cf rho_value",
     "folding": "FoldEngine FoldSpec FoldSyntaxError cohn_congruence_test fold_continuants "
     "ij_system_check iterate_fold named_spec parse_fold_spec sign_generating_functions "
     "special_recursion_polys specializable_iterated specialize",
     "curve": "LatticePath export_svg path_from_signs self_crossing",
-    "hadamard": "KernelReport becker_homogenize hadamard_mahler_probe hadamard_product "
-    "is_complete_hadamard_rational k_kernel",
+    "hadamard": "KernelReport hadamard_mahler_probe hadamard_product is_complete_hadamard_rational "
+    "k_kernel",
     "fiblucas": "cf_identity_table fib lucas run_identity telescope_product_sum telescope_sum",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import contfrac, curve, fiblucas, folding, hadamard
 from .identities import FOLD_CHECKS, REGISTRY
-from .poly import MAX_RESULT_BITS_LOG2, RationalFunction, check_size, parse_poly, parse_rational
+from .poly import MAX_RESULT_BITS_LOG2, NUMERIC_BITS, RationalFunction, check_size, parse_poly, parse_rational
 from .series import NAMED_SERIES, TruncatedSeries, expand_named
 
 SCHEMA = 1
@@ -137,17 +137,17 @@ def _parse_point(text: str):
     return point
 
 
-def _precision(point, bits: int):
+def _precision(point):
     """mpmath's working precision at a numeric point; none, and no import, at an exact one."""
     if point is None or isinstance(point, Fraction):
         return contextlib.nullcontext()
     import mpmath as mp
 
-    return mp.workprec(bits)
+    return mp.workprec(NUMERIC_BITS)
 
 
 def _parse_word_json(text: str) -> contfrac.Word:
-    data = json.loads(text)
+    data = json.loads(text, parse_float=str)  # a decimal number is read as written, like a string
     if not isinstance(data, dict):
         raise ValueError("--word must be a JSON object")
     if not isinstance(data.get("entries", []), list):
@@ -158,12 +158,18 @@ def _parse_word_json(text: str) -> contfrac.Word:
 
 
 def _parse_entry(e):
+    """An integer, a decimal or a/b as written, or a polynomial; a decimal's exponent
+    is costed (about |exponent| * log2(10) bits) before Fraction builds 10^|exponent|."""
     if isinstance(e, str):
+        exponent = e.lower().partition("e")[2].strip()
+        if exponent.lstrip("+-").isdecimal():
+            bits = abs(int(exponent)) * 10 // 3
+            check_size(f"word entry {e}: exponent bits", bits, MAX_RESULT_BITS_LOG2)
         try:
             return Fraction(e)
         except ValueError:
             return parse_poly(e)
-    if isinstance(e, (int, float)):
+    if isinstance(e, int) and not isinstance(e, bool):
         return Fraction(e)
     raise ValueError(f"bad word entry {e!r}")
 
@@ -172,7 +178,7 @@ def cmd_cf(args) -> int:
     if args.cf_cmd == "eval":
         word = _parse_word_json(args.word)
         point = _parse_point(args.at) if args.at else None
-        with _precision(point, args.bits):
+        with _precision(point):
             try:
                 value = contfrac.eval_regular(word, point)
             except contfrac.DivisionByZero as exc:
@@ -193,13 +199,13 @@ def cmd_cf(args) -> int:
             n = denom.bit_length() - 1
             if denom < 1 or 1 << n != denom:
                 raise ValueError("root denominator must be a power of two")
-            value = contfrac.rho_at_root_of_unity(n, a, args.bits)
+            value = contfrac.rho_at_root_of_unity(n, a)
             _emit({"value": _exact_str(value)}, args.json)
             return 0
         point = _parse_point(args.point) if args.point else None
         if point is None:
             raise ValueError("cf rho requires --point")
-        with _precision(point, args.bits):
+        with _precision(point):
             value = contfrac.rho_value(args.n, point)
         _emit({"value": _exact_str(value)}, args.json)
         return 0
@@ -217,7 +223,7 @@ def cmd_fold(args) -> int:
         word = folding.iterate_fold(spec, args.n)
         payload = {"n": args.n, "length": len(word)}
         if args.continuants:
-            mat = folding.fold_continuants(spec, args.n, folding.rho_head(args.n))
+            mat = folding.fold_continuants(spec, args.n)
             payload["p"] = str(mat.p)
             payload["q"] = str(mat.q)
         elif args.specialize:
@@ -363,7 +369,7 @@ def cmd_fib(args) -> int:
     import mpmath as mp
 
     result = fiblucas.run_identity(args.id, args.terms)
-    delta = result.delta_mp(args.bits)
+    delta = result.delta_mp()
     payload = {
         "id": args.id,
         "terms": args.terms,
@@ -397,7 +403,7 @@ def nonnegative_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mahlerfold")
     parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--bits", type=positive_int, default=256, help="big-float precision")
+    parser.add_argument("--bits", type=positive_int, default=256, help="fib identity's tolerance 2^-bits")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # trailing flag from clobbering one given up front

@@ -1,7 +1,6 @@
 """Continuant-matrix machinery for regular and irregular continued fractions:
 evaluation, the Folding Lemma matrix, the Euclidean CF of a rational
-function, the rho and lambda continued fractions and rho at 2^n-th roots of
-unity.
+function, the rho continued fraction and rho at 2^n-th roots of unity.
 
 Everything is generic over the coefficient ring: exact rationals, polynomials,
 rational functions, Q(sqrt5) elements or mpmath big-floats all work, since the
@@ -10,10 +9,10 @@ code only uses +, -, * (and / for evaluation).
 ``ContinuantMatrix.push`` is the one place the three-term recurrence
 p_n = a_n p_{n-1} + b_n p_{n-2} is applied, in the one front-to-back loop
 ``irregular_continuants``; ``eval_irregular`` is the one back-to-front
-evaluator (``continuants``, ``eval_regular``, ``rho_value`` and
-``lambda_value`` only build partial quotients for them).  Zero tests are
-exact, and every scalar quotient goes through ``poly._exact_div``, so an
-integral value comes back as an ``int``.
+evaluator (``continuants``, ``eval_regular`` and ``rho_value`` only build
+partial quotients for them).  Zero tests are exact, and every scalar quotient
+goes through ``poly._exact_div``, so an integral value comes back as an
+``int``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import MAX_RESULT_BITS_LOG2, Polynomial, RationalFunction, _exact_div, _Record, check_size
+from .poly import (MAX_RESULT_BITS_LOG2, NUMERIC_BITS, Polynomial, RationalFunction, _exact_div, _Record,
+                   check_size)
 from .quadfield import PHI, GaussianRational, QuadNum
 from .series import TruncatedSeries
 
@@ -223,7 +223,7 @@ def euclid_cf(f: RationalFunction) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# The rho / lambda continued fractions.
+# The rho continued fraction.
 # ---------------------------------------------------------------------------
 
 
@@ -235,29 +235,6 @@ def rho_cf(n: int) -> IrregularCF:
     one = Polynomial.one()
     pairs = tuple((x.substitute_power(1 << i), one) for i in range(n))
     return IrregularCF(one, pairs)
-
-
-def lambda_word(n: int, plus: bool = False) -> Word:
-    """lambda_n = [x; x^2, x^4, ..., x^(2^n)]; with ``plus`` the last entry gains +1.
-
-    Conventions follow the recursions lambda_n = x + 1/lambda_{n-1}(x^2) with
-    lambda_0 = x, and lambda_n^+ = x + 1/lambda_{n-1}^+(x^2) with
-    lambda_0^+ = 1 (so lambda_1^+ = [x+1] and lambda_n^+ tops out at
-    exponent 2^(n-1)).
-    """
-    return _lambda(n, Polynomial.x(), plus, Polynomial.monomial)
-
-
-def _lambda(n: int, x, plus: bool, power) -> Word:
-    """The word of ``lambda_word`` with head x and entries ``power(2^i)``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if plus and n < 2:
-        return Word((), x + 1 if n else x * 0 + 1)
-    entries = [power(1 << i) for i in range(1, n if plus else n + 1)]
-    if plus:
-        entries[-1] += 1
-    return Word(tuple(entries), x)
 
 
 def rho_value(n: int, x):
@@ -284,17 +261,12 @@ def _unwind_rho(n: int, x, tail):
     return eval_irregular(IrregularCF(partials[0], pairs))
 
 
-def lambda_value(n: int, x, plus: bool = False):
-    """lambda_n (or lambda_n^+) at a point, back-to-front."""
-    return eval_regular(_lambda(n, x, plus, lambda e: x**e))
-
-
 # ---------------------------------------------------------------------------
 # rho at 2^n-th roots of unity.
 # ---------------------------------------------------------------------------
 
 
-def rho_at_root_of_unity(n: int, a: int = 1, precision: int = 256):
+def rho_at_root_of_unity(n: int, a: int = 1, precision: int = NUMERIC_BITS):
     """rho at zeta = exp(2*pi*i*a/2^n) for odd a.
 
     Unwinds rho(x) = 1 + x/rho(x^2) n times until the argument is 1, closes

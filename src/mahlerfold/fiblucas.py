@@ -14,7 +14,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .contfrac import IrregularCF, eval_irregular
-from .poly import MAX_RESULT_BITS_LOG2, Polynomial, RationalFunction, check_size, parse_rational
+from .poly import MAX_RESULT_BITS_LOG2, NUMERIC_BITS, Polynomial, RationalFunction, check_size, parse_rational
 from .quadfield import PHI, QuadNum
 
 
@@ -124,7 +124,7 @@ class IdentityResult(NamedTuple):
     computed: QuadNum
     terms: int
 
-    def delta_mp(self, precision: int = 256):
+    def delta_mp(self, precision: int = NUMERIC_BITS):
         """|expected - computed| embedded numerically at ``precision`` bits."""
         import mpmath as mp
 

@@ -343,22 +343,22 @@ def word_lengths(spec, n: int) -> list[int]:
     return list(islice(lengths, max(n + 1, 0)))
 
 
-def _matrix_images(spec: FoldSpec, x, column: bool):
+def _matrix_images(spec: FoldSpec, x):
     """(continuant matrix, length) of w_0, w_1, ... with x the ring image of
     the letter x.  Each rule is read from its right end and each item's
     factor multiplies the accumulator from the left: a letter t is
     (t, 1; 1, 0), a reference its word's matrix (transposed if reversed; if
     negated, N(-w) = (-1)^len(w) D N(w) D with D = diag(1, -1), exact for Key
     Lemma products) and a run U, t, -~U ``fold_matrix`` of U's first column,
-    at two squares and one product.  The accumulator starts at I; a
-    ``column`` read of a column-closed spec starts at e1 = (1, 0; 0, 0), so
-    each reference is read first, as its own column, the second column stays
+    at two squares and one product.  The accumulator starts at I; for a
+    column-closed spec it starts at e1 = (1, 0; 0, 0) instead, so each
+    reference is read first, as its own column, the second column stays
     zero, and a run is st (a; c)(a, -c) + J with (a, c) U's column and
     J = (0, 1; 1, 0): four products of (a, c) with the column.
     """
     minus_x, start = -x, _identity_like(x)
     zero = start.p_prev
-    column = column and _column_closed(spec.folds)
+    column = _column_closed(spec.folds)
     if column:
         start = ContinuantMatrix(start.p, zero, zero, zero)
 
@@ -395,15 +395,16 @@ class FoldEngine:
 
     ``x`` is the ring image of the letter x.  Levels are pulled from the
     fold-rule interpreter (``_matrix_images``) on demand and cached, each rule
-    read from the right.  A ``column`` engine promises only first columns
-    (p, q); for a column-closed spec (rho, dragon) it pushes e1 through each
-    rule, so every operand is a column.
+    read from the right.  Only the first column (p, q) of each matrix is
+    promised: for a column-closed spec (rho, dragon) the engine pushes e1
+    through each rule, so every operand is a column and the second column is
+    zero; for any other spec the matrices are whole.
     """
 
-    def __init__(self, spec, x, column: bool = False):
+    def __init__(self, spec, x):
         self.spec = resolve_spec(spec)
         self.x = x
-        self._images = _matrix_images(self.spec, x, column)
+        self._images = _matrix_images(self.spec, x)
         self._cache: list = []
 
     def matrix(self, n: int) -> ContinuantMatrix:
@@ -420,11 +421,10 @@ class FoldEngine:
         return ContinuantMatrix(head, 1, 1, 0).mul(self.matrix(n))
 
 
-def fold_continuants(spec, n: int, head: Polynomial | None = None) -> ContinuantMatrix:
-    """Continuants p, q of [head; w_n] over Q[x] (head defaults to rho's s_n),
-    from a ``column`` engine: the second column of the matrix may be zero."""
-    engine = FoldEngine(spec, Polynomial.x(), column=True)
-    return engine.with_head(n, rho_head(n) if head is None else head)
+def fold_continuants(spec, n: int) -> ContinuantMatrix:
+    """Continuants p, q of [s_n; w_n] over Q[x], with s_n rho's head: the first
+    column of ``FoldEngine``'s matrix, whose second column may be zero."""
+    return FoldEngine(spec, Polynomial.x()).with_head(n, rho_head(n))
 
 
 def rho_head(n: int) -> Polynomial:
@@ -639,8 +639,8 @@ def special_recursion_polys(spec) -> tuple[Polynomial, Polynomial]:
         raise NotSpecialError(f"spec is not special: {spec.pretty()}")
     r = sum(1 for it in spec.rule if isinstance(it, RuleRef))
     lengths = word_lengths(spec, 4)
-    engine = FoldEngine(spec, Polynomial.x(), column=True)
-    light = [FoldEngine(spec, x, column=True) for x in (2, 3, TruncatedSeries.x(64))]
+    engine = FoldEngine(spec, Polynomial.x())
+    light = [FoldEngine(spec, x) for x in (2, 3, TruncatedSeries.x(64))]
     checks = [
         (e, n)
         for n in (2, 3, 4)

@@ -1,5 +1,5 @@
 """Hadamard products, the complete-Hadamard classifier, k-kernels and the
-Becker homogenization rewrite."""
+bounded Mahler-recursion probe."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .linalg import first_null_vector, rank
 from .poly import Polynomial, RationalFunction, _to_int_coeffs, check_size
-from .series import MahlerEquation, TruncatedSeries, solve_mahler
+from .series import MahlerEquation, TruncatedSeries
 
 
 def hadamard_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -95,81 +95,6 @@ def k_kernel(seq, k: int, depth: int) -> KernelReport:
         )
     distinct = {tuple(seq[r :: k**e][:max_len]) for e in range(depth + 1) for r in range(k**e)}
     return KernelReport(k, depth, len(distinct), rank([list(row) for row in distinct], max_len))
-
-
-# ---------------------------------------------------------------------------
-# Becker homogenization (inhomogeneous -> homogeneous pieces).
-# ---------------------------------------------------------------------------
-
-
-class BeckerPiece(NamedTuple):
-    """One monomial piece c*q^n of the inhomogeneous term.
-
-    ``constant_equation`` has constant inhomogeneity c and solves for
-    g = f_piece / q^n; ``homogeneous`` is its Step-3 subtraction, of depth
-    one more, satisfied by the same g.
-    """
-
-    shift: int
-    constant: object
-    constant_equation: MahlerEquation
-    homogeneous: MahlerEquation
-
-
-def becker_homogenize(eq: MahlerEquation) -> list[BeckerPiece]:
-    """Split A by monomials, shift each piece into constant shape, then kill
-    the constant with the q -> q^k image.  Requires Becker shape A_0 = 1.
-
-    The input solution recombines as f = sum_j q^(n_j) g_j where g_j solves
-    piece j's constant equation (and therefore also its homogeneous one).
-    """
-    if eq.coeffs[0] != Polynomial.one():
-        raise ValueError("Becker shape requires A_0(q) = 1")
-    if eq.inhomogeneous.is_zero():
-        return [BeckerPiece(0, 0, eq, eq)]
-    pieces = []
-    k = eq.k
-    for n, c in enumerate(eq.inhomogeneous.coeffs):
-        if not c:
-            continue
-        shifted = tuple(ai.shift(n * k**i - n) for i, ai in enumerate(eq.coeffs))
-        const_eq = MahlerEquation(
-            k=k,
-            coeffs=shifted,
-            inhomogeneous=Polynomial.constant(c),
-            normalization=eq.normalization if n == 0 else None,
-        )
-        pieces.append(BeckerPiece(n, c, const_eq, _step3(const_eq)))
-    return pieces
-
-
-def _step3(eq: MahlerEquation) -> MahlerEquation:
-    """Subtract the q -> q^k image to remove a constant inhomogeneity."""
-    k = eq.k
-    old = eq.coeffs
-    new = [*old, Polynomial.zero()]
-    for i, ai in enumerate(old):
-        new[i + 1] = new[i + 1] - ai.substitute_power(k)
-    return MahlerEquation(
-        k=k, coeffs=tuple(new), inhomogeneous=Polynomial.zero(), normalization=eq.normalization
-    )
-
-
-def recombine_becker(eq: MahlerEquation, pieces: list[BeckerPiece], order: int) -> TruncatedSeries:
-    """Solve each piece's constant equation and reassemble sum q^n_j g_j."""
-    total = TruncatedSeries.zero(order)
-    for piece in pieces:
-        ceq = piece.constant_equation
-        if ceq is not eq and ceq.normalization is None:
-            ceq = MahlerEquation(ceq.k, ceq.coeffs, ceq.inhomogeneous, _forced_or_zero(ceq))
-        total = total + solve_mahler(ceq, order).shift(piece.shift)
-    return total
-
-
-def _forced_or_zero(eq: MahlerEquation):
-    """Normalization for a shifted piece: g(0) is forced unless the constant
-    column vanishes, in which case 0 is the natural choice."""
-    return None if sum(ai.coeff(0) for ai in eq.coeffs) else 0  # None: the equation fixes g(0)
 
 
 # ---------------------------------------------------------------------------

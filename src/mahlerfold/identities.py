@@ -145,7 +145,7 @@ def _check_rho_theorem(max_level: int) -> IdentityReport:
     """[s_n; w_n] has continuants (H_n, H_{n-1}(x^2)), |w_n| = (2^(n+1) + (-1)^n)/3 - 1."""
     check_size("rho-theorem level", max_level, 6)  # keeps 1 << max_level small
     check_size(f"rho-theorem at level {max_level}: coefficients", 1 << max_level, MAX_RESULT_BITS_LOG2)
-    engine = folding.FoldEngine("rho", Polynomial.x(), column=True)
+    engine = folding.FoldEngine("rho", Polynomial.x())
     lengths = folding.word_lengths("rho", max_level)
 
     def holds(n: int) -> bool:
@@ -171,14 +171,19 @@ def _check_ij_system(order: int) -> IdentityReport:
     return IdentityReport("ij-system", bad is None, bad, order)
 
 
-def _check_e_words(_max_level: int) -> IdentityReport:
-    """w_n = -e_(n+1) for even n and [1, w_n] = e_(n+1) for odd n, n <= 8."""
+def _check_e_words(max_level: int) -> IdentityReport:
+    """w_n = -e_(n+1) for even n and [1, w_n] = e_(n+1) for odd n; a level whose
+    w_(n+1) would pass the sign words' letter cap is refused before any runs."""
+    if folding._passes_letter_cap(folding.named_spec("rho"), max_level + 1):
+        raise ValueError(f"e-words at level {max_level}: w_{max_level + 1} would pass the cap of "
+                         f"{folding.MAX_SIGN_WORD_LETTERS} letters")
+
     def holds(n: int) -> bool:
         w = folding.iterate_fold("rho", n)
         e_next = folding.signed_even_subword(folding.iterate_fold("rho", n + 1))
         return list(w) == [-s for s in e_next] if n % 2 == 0 else [1, *w] == e_next
 
-    return _level_report("e-words", 0, 8, holds)
+    return _level_report("e-words", 0, max_level, holds)
 
 
 def _table(*entries) -> dict[str, Identity]:
@@ -209,7 +214,6 @@ FOLD_CHECKS: dict[str, Identity] = _table(
      "series", _check_fg_mahler),
     ("ij-system", "I(x) = J(x^2) + x/(1+x^6), J(x) = I(x^2) - x^5/(1+x^6)", "series",
      _check_ij_system),
-    ("e-words", "w_n = -e_(n+1) (n even), [1, w_n] = e_(n+1) (n odd), n <= 8",
-     "fold", _check_e_words),
+    ("e-words", "w_n = -e_(n+1) (n even), [1, w_n] = e_(n+1) (n odd)", "fold", _check_e_words),
 )
 

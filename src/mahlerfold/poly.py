@@ -35,6 +35,7 @@ _SIGN_FILL = bytes(255 * (i >> 7) for i in range(256))  # top byte -> sign-exten
 MAX_COEFFS_LOG2 = 24  # a size parameter: ``expand --name H --order 2^24`` takes 1.5 GB
 MAX_RESULT_BITS_LOG2 = 20  # past 2^20 bits an exact value takes seconds to minutes to compute and print
 MAX_NESTING = 100  # parentheses and prefix signs in an expression, each up to four Python frames
+NUMERIC_BITS = 256  # mpmath precision of every numeric embedding: cf at non-rational points, fib's delta
 
 
 def check_size(what: str, size: int, cap_log2: int = MAX_COEFFS_LOG2) -> int:

@@ -1,8 +1,8 @@
 """Oracles and helpers that only tests use: the membership rules of H and I,
 the literal continued fraction of a sign word, continuants in the series ring,
 the digits of a specialized continued fraction, the numeric sum of rho over
-the primitive 2^n-th roots of unity, the Binet residuals and the terms of
-Good's telescoping sum.
+the primitive 2^n-th roots of unity, the lambda continued fractions, the Binet
+residuals and the terms of Good's telescoping sum.
 
 No command reaches these, so they live beside the tests rather than in
 ``src/`` (``tests/test_reach.py``).
@@ -10,7 +10,7 @@ No command reaches these, so they live beside the tests rather than in
 
 import mpmath as mp
 
-from mahlerfold.contfrac import ContinuantMatrix, Word, rho_at_root_of_unity
+from mahlerfold.contfrac import ContinuantMatrix, Word, eval_regular, rho_at_root_of_unity
 from mahlerfold.fiblucas import _eval_rf, fib, lucas
 from mahlerfold.folding import FoldEngine, iterate_fold, rho_head, specialize
 from mahlerfold.poly import Polynomial, RationalFunction
@@ -80,6 +80,34 @@ def rho_sum_over_roots(n: int, precision: int = 256):
                 v = v.to_mp()
             total += v
         return total
+
+
+def lambda_word(n: int, plus: bool = False) -> Word:
+    """lambda_n = [x; x^2, x^4, ..., x^(2^n)]; with ``plus`` the last entry gains +1.
+
+    Conventions follow the recursions lambda_n = x + 1/lambda_{n-1}(x^2) with
+    lambda_0 = x, and lambda_n^+ = x + 1/lambda_{n-1}^+(x^2) with
+    lambda_0^+ = 1 (so lambda_1^+ = [x+1] and lambda_n^+ tops out at
+    exponent 2^(n-1)).
+    """
+    return _lambda(n, Polynomial.x(), plus, Polynomial.monomial)
+
+
+def _lambda(n: int, x, plus: bool, power) -> Word:
+    """The word of ``lambda_word`` with head x and entries ``power(2^i)``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if plus and n < 2:
+        return Word((), x + 1 if n else x * 0 + 1)
+    entries = [power(1 << i) for i in range(1, n if plus else n + 1)]
+    if plus:
+        entries[-1] += 1
+    return Word(tuple(entries), x)
+
+
+def lambda_value(n: int, x, plus: bool = False):
+    """lambda_n (or lambda_n^+) at a point, back-to-front."""
+    return eval_regular(_lambda(n, x, plus, lambda e: x**e))
 
 
 def binet_residual(n: int) -> QuadNum:

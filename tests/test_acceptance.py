@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from mahlerfold.contfrac import continuants, lambda_value, rho_at_root_of_unity, rho_value
+from mahlerfold.contfrac import continuants, rho_at_root_of_unity, rho_value
 from mahlerfold.curve import export_svg, path_from_signs, self_crossing
 from mahlerfold.fiblucas import (
     IDENTITY_IDS,
@@ -39,8 +39,8 @@ from mahlerfold.identities import REGISTRY
 from mahlerfold.poly import Polynomial, parse_rational
 from mahlerfold.quadfield import PHI
 from mahlerfold.series import TruncatedSeries, expand_named
-from reference import (baum_sweet, fibbinary, fold_continuants_series, rho_sum_over_roots,
-                       specialized_digits, word_to_cf)
+from reference import (baum_sweet, fibbinary, fold_continuants_series, lambda_value,
+                       rho_sum_over_roots, specialized_digits, word_to_cf)
 
 P = Polynomial
 

@@ -125,6 +125,18 @@ def test_fold_check(capsys):
     assert code == 0
 
 
+def test_e_words_checks_every_level_to_n(capsys, monkeypatch):
+    from mahlerfold import folding
+
+    built, iterate = [], folding.iterate_fold
+    monkeypatch.setattr(folding, "iterate_fold", lambda spec, n: built.append(n) or iterate(spec, n))
+    code, out = run(capsys, "fold", "check", "--id", "e-words", "--n", "12")
+    assert (code, out.splitlines()[-1]) == (0, "detail: n <= 12")
+    assert max(built) == 13  # level 12 reads w_13
+    code, out = run(capsys, "verify", "--id", "e-words", "--max-level", "3")
+    assert code == 0 and "n <= 3 " in out
+
+
 def test_fold_cohn(capsys):
     code, out = run(
         capsys, "--json", "fold", "cohn", "--poly", "x^2", "--mode", "irregular",
@@ -227,6 +239,14 @@ def test_fib_identity_fails_when_delta_passes_2_to_minus_bits(capsys):
     assert main(["--bits", "4", "fib", "identity", "--id", "good", "--terms", "3"]) == 0
 
 
+def test_bits_is_only_the_fib_identity_tolerance(capsys):
+    # numeric embeddings run at poly.NUMERIC_BITS whatever --bits says
+    code, out = run(capsys, "--bits", "16", "cf", "rho", "--point", "0.5", "--n", "10")
+    assert (code, out) == (0, "value: 1.40474425527202\n")
+    code, out = run(capsys, "--bits", "5", "fib", "identity", "--id", "good", "--terms", "3")
+    assert code == 1 and "delta: 0.048632678\n" in out
+
+
 def test_fib_identity_table_row(capsys):
     code, out = run(capsys, "--json", "fib", "identity", "--id", "table-3", "--terms", "12")
     payload = json.loads(out)
@@ -261,6 +281,9 @@ def test_fib_identity_table_row(capsys):
         ["cf", "eval", "--word", '{"head": 1, "entries": [2, 3]}', "--at", "1j/2"],
         ["cf", "rho", "--point", "nan"],
         ["cf", "rho", "--point", "inf"],
+        ["cf", "eval", "--word", '{"head": true, "entries": [false, true]}'],
+        ["cf", "eval", "--word", '{"head": "1e9999999", "entries": []}'],
+        ["cf", "eval", "--word", '{"head": 1e9999999, "entries": []}'],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -596,9 +619,16 @@ def _address_space_2gb():
     (["--bits", _HUGE, "fib", "identity", "--id", "good", "--terms", "4"],
      f"--bits {_HUGE} is over the cap of 2^20 = 1048576"),
     (["--bits", _HUGE, "cf", "rho", "--point", "0.5"], f"--bits {_HUGE} is over the cap of 2^20"),
+    (["cf", "eval", "--word", '{"head": "1e9999999", "entries": []}'],
+     "word entry 1e9999999: exponent bits 33333330 is over the cap of 2^20 = 1048576"),
+    (["cf", "eval", "--word", '{"head": 1e9999999, "entries": []}'],
+     "word entry 1e9999999: exponent bits 33333330 is over the cap of 2^20 = 1048576"),
+    (["fold", "check", "--id", "e-words", "--n", "40"],
+     "e-words at level 40: w_41 would pass the cap of 8388608 letters"),
 ], ids=["rho-theorem-level", "cohn-degree", "rho-theorem-huge-level", "fib-huge-terms",
         "cf-rho-huge-n-exact", "power-degree", "power-bits", "power-binomial", "hadamard-power",
-        "nested-parentheses", "prefix-signs", "cf-rho-numeric-n", "bits-fib", "bits-cf-rho"])
+        "nested-parentheses", "prefix-signs", "cf-rho-numeric-n", "bits-fib", "bits-cf-rho",
+        "cf-eval-decimal-exponent", "cf-eval-json-exponent", "e-words-level"])
 def test_costly_requests_are_refused_before_the_work(argv, message):
     # the refusal comes from a cost estimate, not after hours of work
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}

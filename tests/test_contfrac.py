@@ -18,8 +18,6 @@ from mahlerfold.contfrac import (
     eval_regular,
     fold_matrix,
     irregular_continuants,
-    lambda_value,
-    lambda_word,
     rho_at_root_of_unity,
     rho_cf,
     rho_value,
@@ -27,7 +25,7 @@ from mahlerfold.contfrac import (
 from mahlerfold.poly import Polynomial, RationalFunction
 from mahlerfold.quadfield import PHI, GaussianRational, QuadNum
 from mahlerfold.series import TruncatedSeries, expand_named, truncated_partial
-from reference import rho_sum_over_roots
+from reference import lambda_value, lambda_word, rho_sum_over_roots
 
 P = Polynomial
 
@@ -86,7 +84,7 @@ def test_fold_value_scalar():
     word = Word(
         tuple(Fraction(2 * s) for s in iterate_fold("rho", 4)), Fraction(1)
     )
-    engine = FoldEngine("rho", Fraction(2), column=True)
+    engine = FoldEngine("rho", Fraction(2))
     assert engine.with_head(4, Fraction(1)).ratio() == eval_regular(word)
 
 
@@ -189,7 +187,7 @@ def test_integral_quotients_are_int():
     for value, expected in [
         (RationalFunction(P([0, 2]))(3), 6),
         (eval_regular(Word((1,), head=1)), 2),
-        (FoldEngine("dragon", 1, column=True).with_head(1, 1).ratio(), 2),
+        (FoldEngine("dragon", 1).with_head(1, 1).ratio(), 2),
     ]:
         assert type(value) is int and value == expected
     assert continuants(Word((2,), head=2)).ratio() == Fraction(5, 2)

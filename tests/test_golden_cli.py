@@ -55,6 +55,8 @@ CASES = {
                               "--at", "1/3"],
     "cf-eval-poly-at-decimal-half": ["cf", "eval", "--word",
                                      '{"head": "x", "entries": ["x^2", "-x"]}', "--at", "0.5"],
+    # JSON decimal numbers are read as written, as their strings are
+    "cf-eval-decimal-json": ["cf", "eval", "--word", '{"head": 0.1, "entries": [0.25]}'],
     "fold-iterate-dragon-6-continuants": ["fold", "iterate", "--spec", "dragon", "--n", "6",
                                           "--continuants"],
     "fold-cohn-x2-sum": ["fold", "cohn", "--poly", "x^2", "--mode", "sum", "--nmax", "4"],

@@ -3,15 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerfold.hadamard import (
-    becker_homogenize,
     hadamard_mahler_probe,
     hadamard_product,
     is_complete_hadamard_rational,
     k_kernel,
-    recombine_becker,
 )
 from mahlerfold.poly import Polynomial, parse_rational
-from mahlerfold.series import MahlerEquation, TruncatedSeries, expand_named, solve_mahler
+from mahlerfold.series import TruncatedSeries, expand_named
 
 P = Polynomial
 TS = TruncatedSeries
@@ -175,65 +173,6 @@ def test_kernel_monotone_in_depth():
 def test_kernel_prefix_too_short():
     with pytest.raises(ValueError):
         k_kernel([1] * 64, 2, 4)
-
-
-# -- Becker homogenization ----------------------------------------------------
-
-def _becker_eq(coeffs, inhom, norm=None):
-    return MahlerEquation(2, tuple(coeffs), inhom, norm)
-
-
-def test_becker_requires_shape():
-    eq = MahlerEquation(2, (P([2]), P([-1])), P.zero())
-    with pytest.raises(ValueError):
-        becker_homogenize(eq)
-
-
-def test_becker_homogeneous_passthrough():
-    eq = _becker_eq([P.one(), P([-1]), P([0, -1])], P.zero(), 1)
-    pieces = becker_homogenize(eq)
-    assert len(pieces) == 1
-    assert pieces[0].homogeneous is eq
-
-
-def test_becker_single_monomial():
-    # f(q) = f(q^2) + q, i.e. f + (-1) f(q^2) + (-q) = 0
-    eq = _becker_eq([P.one(), P([-1])], P([0, -1]), 0)
-    pieces = becker_homogenize(eq)
-    assert len(pieces) == 1
-    piece = pieces[0]
-    assert piece.shift == 1
-    # constant equation: g - q g(q^2) - 1 = 0
-    assert piece.constant_equation.coeffs == (P.one(), P([0, -1]))
-    assert piece.constant_equation.inhomogeneous == P([-1])
-    # step 3: g - (1+q) g(q^2) + q^2 g(q^4) = 0
-    assert piece.homogeneous.inhomogeneous.is_zero()
-    assert piece.homogeneous.coeffs == (P.one(), P([-1, -1]), P([0, 0, 1]))
-    g = solve_mahler(piece.constant_equation, 64)
-    assert piece.homogeneous.residual(g).is_zero()
-
-
-def test_becker_constant_inhomogeneity_depth():
-    # A(q) = c constant: single homogeneous equation, depth d+1
-    eq = _becker_eq([P.one(), P([0, -1])], P([3]))
-    pieces = becker_homogenize(eq)
-    assert len(pieces) == 1
-    assert pieces[0].shift == 0
-    assert pieces[0].homogeneous.depth == eq.depth + 1
-    assert pieces[0].homogeneous.inhomogeneous.is_zero()
-
-
-def test_becker_recombination():
-    # (paperfolding-flavoured) f + (-q - q^3) f(q^2)/(1+q^2)... use a Becker
-    # shape equation with a two-monomial inhomogeneous part
-    eq = _becker_eq([P.one(), P([0, -1, -1])], P([-1, 0, -2]), 1)
-    f = solve_mahler(eq, 128)
-    pieces = becker_homogenize(eq)
-    assert len(pieces) == 2
-    for piece in pieces:
-        g = solve_mahler(piece.constant_equation, 128)
-        assert piece.homogeneous.residual(g).is_zero()
-    assert recombine_becker(eq, pieces, 128).coeffs == f.coeffs
 
 
 # -- probe --------------------------------------------------------------------

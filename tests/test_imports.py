@@ -19,11 +19,11 @@ PACKAGE_NAMES = """
 Polynomial RationalFunction parse_poly parse_rational PHI SQRT5 GaussianRational QuadNum
 MahlerEquation MahlerSolveError TruncatedSeries expand_named solve_mahler truncated_partial
 IdentityReport ContinuantMatrix DivisionByZero IrregularCF Word continuants euclid_cf
-eval_irregular eval_regular lambda_word rho_at_root_of_unity rho_cf rho_value FoldEngine
+eval_irregular eval_regular rho_at_root_of_unity rho_cf rho_value FoldEngine
 FoldSpec FoldSyntaxError cohn_congruence_test fold_continuants ij_system_check
 iterate_fold named_spec parse_fold_spec sign_generating_functions special_recursion_polys
 specializable_iterated specialize LatticePath export_svg path_from_signs self_crossing
-KernelReport becker_homogenize hadamard_mahler_probe hadamard_product
+KernelReport hadamard_mahler_probe hadamard_product
 is_complete_hadamard_rational k_kernel cf_identity_table fib lucas run_identity
 telescope_product_sum telescope_sum __version__
 """.split()

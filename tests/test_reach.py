@@ -34,14 +34,12 @@ ALLOWED = {
     "item 9 (Fibonacci-Lucas identities proven by telescoping)":
         "fiblucas.telescope_sum fiblucas.telescope_product_sum fiblucas.cf_row_entry_check "
         "fiblucas._eval_rf",
-    "item 10 (Becker homogenization and lambda need a command)":
-        "hadamard.becker_homogenize hadamard._step3 hadamard.recombine_becker "
-        "hadamard._forced_or_zero contfrac.lambda_word contfrac._lambda contfrac.lambda_value",
 }
 
 _HUGE = "100000000000"
 CI_REFUSED = [
     ["fold", "check", "--id", "rho-theorem", "--n", "40"],
+    ["fold", "check", "--id", "e-words", "--n", "40"],
     ["fold", "cohn", "--poly", "x^4+1", "--mode", "sum", "--nmax", "8"],
     ["expand", "--name", "H", "--order", _HUGE],
     ["verify", "--id", "propFGH", "--order", _HUGE],
