@@ -13,8 +13,8 @@ _EXPORTS = {
     "series": "MahlerEquation MahlerSolveError TruncatedSeries expand_named solve_mahler "
     "truncated_partial",
     "identities": "IdentityReport",
-    "contfrac": "ContinuantMatrix DivisionByZero IrregularCF Word continuants euclid_cf "
-    "eval_irregular eval_regular rho_at_root_of_unity rho_cf rho_value",
+    "contfrac": "ContinuantMatrix DivisionByZero IrregularCF continuants euclid_cf eval_irregular "
+    "regular_cf rho_at_root_of_unity rho_cf rho_value",
     "folding": "FoldEngine FoldSpec FoldSyntaxError cohn_congruence_test fold_continuants "
     "ij_system_check iterate_fold named_spec parse_fold_spec sign_generating_functions "
     "special_recursion_polys specializable_iterated specialize",

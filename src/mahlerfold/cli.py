@@ -40,21 +40,29 @@ def _series_payload(name: str, series: TruncatedSeries) -> dict:
     return {
         "name": name,
         "order": series.order,
-        "coeffs": [str(Fraction(c)) for c in series.coeffs],
+        "coeffs": _exact_strs(map(Fraction, series.coeffs)),
     }
 
 
+def _cf_payload(cf: contfrac.IrregularCF) -> dict:
+    return {"head": _exact_str(cf.head), "entries": _exact_strs(cf.entries)}
+
+
 def _exact_str(value) -> str:
-    """str() of an exact value whose integers may have more digits than
-    Python's int-to-str limit, which guards parsing input, not our output."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        return str(value)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    return _exact_strs((value,))[0]
+
+
+def _exact_strs(values) -> list[str]:
+    """str() of each exact value, whose integers may have more digits than Python's
+    int-to-str limit, which guards parsing input, not our output."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # Python < 3.10.7 has no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        return list(map(str, values))
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +98,10 @@ def _random_spotchecks(seed: int) -> list[dict]:
     rng = random.Random(seed)
     results = []
     for trial in range(3):
-        word = contfrac.Word(
-            tuple(rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 12))),
-            rng.randint(-9, 9),
-        )
-        n = len(word.entries)  # index of the last symbol
-        ok = contfrac.continuants(word).det() == (-1) ** (n + 1)
+        entries = [rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 12))]
+        cf = contfrac.regular_cf([rng.randint(-9, 9), *entries])
+        n = len(entries)  # index of the last symbol
+        ok = contfrac.continuants(cf).det() == (-1) ** (n + 1)
         results.append({**_entry(f"determinant-law[{trial}]", ok, f"n={n}"), "ms": 0.0})
     return results
 
@@ -146,15 +152,15 @@ def _precision(point):
     return mp.workprec(NUMERIC_BITS)
 
 
-def _parse_word_json(text: str) -> contfrac.Word:
+def _parse_word_json(text: str) -> contfrac.IrregularCF:
     data = json.loads(text, parse_float=str)  # a decimal number is read as written, like a string
     if not isinstance(data, dict):
         raise ValueError("--word must be a JSON object")
     if not isinstance(data.get("entries", []), list):
         raise ValueError("--word entries must be a JSON list")
-    entries = tuple(_parse_entry(e) for e in data.get("entries", []))
+    entries = [_parse_entry(e) for e in data.get("entries", [])]
     head = data.get("head")
-    return contfrac.Word(entries, _parse_entry(head) if head is not None else None)
+    return contfrac.regular_cf(entries if head is None else [_parse_entry(head), *entries])
 
 
 def _parse_entry(e):
@@ -176,11 +182,11 @@ def _parse_entry(e):
 
 def cmd_cf(args) -> int:
     if args.cf_cmd == "eval":
-        word = _parse_word_json(args.word)
+        cf = _parse_word_json(args.word)
         point = _parse_point(args.at) if args.at else None
         with _precision(point):
             try:
-                value = contfrac.eval_regular(word, point)
+                value = contfrac.eval_irregular(cf, point)
             except contfrac.DivisionByZero as exc:
                 _emit({"undefined_at_depth": exc.depth}, args.json)
                 return 1
@@ -189,8 +195,7 @@ def cmd_cf(args) -> int:
     if args.cf_cmd == "euclid":
         num = parse_poly(args.num)
         den = parse_poly(args.den)
-        word = contfrac.euclid_cf(RationalFunction(num, den))
-        _emit({"head": str(word.head), "entries": [str(e) for e in word.entries]}, args.json)
+        _emit(_cf_payload(contfrac.euclid_cf(RationalFunction(num, den))), args.json)
         return 0
     if args.cf_cmd == "rho":
         if args.point and args.point.startswith("root:"):
@@ -224,12 +229,10 @@ def cmd_fold(args) -> int:
         payload = {"n": args.n, "length": len(word)}
         if args.continuants:
             mat = folding.fold_continuants(spec, args.n)
-            payload["p"] = str(mat.p)
-            payload["q"] = str(mat.q)
+            payload["p"] = _exact_str(mat.p)
+            payload["q"] = _exact_str(mat.q)
         elif args.specialize:
-            sp = folding.specialize(folding.rho_head(args.n), word)
-            payload["head"] = str(sp.head)
-            payload["entries"] = [str(e) for e in sp.entries]
+            payload.update(_cf_payload(folding.specialize(folding.rho_head(args.n), word)))
         else:
             payload["signs"] = "".join("+" if s > 0 else "-" for s in word)
         _emit(payload, args.json)
@@ -251,7 +254,7 @@ def cmd_fold(args) -> int:
         }
         if report.fails_at is not None:
             payload["fails_at"] = report.fails_at
-            payload["witness"] = str(report.witness)
+            payload["witness"] = _exact_str(report.witness)
         _emit(payload, args.json)
         return 0
     raise AssertionError
@@ -325,7 +328,7 @@ def cmd_hadamard(args) -> int:
         if result.complete:
             payload["m"] = result.m
         else:
-            payload["witness"] = str(result.witness)
+            payload["witness"] = _exact_str(result.witness)
         _emit(payload, args.json)
         return 0
     if args.hadamard_cmd == "kernel":
@@ -352,7 +355,7 @@ def cmd_hadamard(args) -> int:
                 {
                     "result": "recursion_found",
                     "k": result.found.k,
-                    "coeffs": [str(c) for c in result.found.coeffs],
+                    "coeffs": _exact_strs(result.found.coeffs),
                 },
                 args.json,
             )

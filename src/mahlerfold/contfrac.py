@@ -6,13 +6,13 @@ Everything is generic over the coefficient ring: exact rationals, polynomials,
 rational functions, Q(sqrt5) elements or mpmath big-floats all work, since the
 code only uses +, -, * (and / for evaluation).
 
+``IrregularCF`` is the one continued-fraction type; a regular continued
+fraction is one whose numerators are all 1 (``regular_cf``).
 ``ContinuantMatrix.push`` is the one place the three-term recurrence
 p_n = a_n p_{n-1} + b_n p_{n-2} is applied, in the one front-to-back loop
-``irregular_continuants``; ``eval_irregular`` is the one back-to-front
-evaluator (``continuants``, ``eval_regular`` and ``rho_value`` only build
-partial quotients for them).  Zero tests are exact, and every scalar quotient
-goes through ``poly._exact_div``, so an integral value comes back as an
-``int``.
+``continuants``; ``eval_irregular`` is the one back-to-front evaluator.  Zero
+tests are exact, and every scalar quotient goes through ``poly._exact_div``,
+so an integral value comes back as an ``int``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import (MAX_RESULT_BITS_LOG2, NUMERIC_BITS, Polynomial, RationalFunction, _exact_div, _Record,
-                   check_size)
+from .poly import MAX_RESULT_BITS_LOG2, NUMERIC_BITS, Polynomial, RationalFunction, _exact_div, check_size
 from .quadfield import PHI, GaussianRational, QuadNum
 from .series import TruncatedSeries
 
@@ -38,28 +37,23 @@ class DivisionByZero(ArithmeticError):
         self.depth = depth
 
 
-class Word(_Record):
-    """A finite continued fraction [head; entries...]; head may be absent."""
+class IrregularCF(NamedTuple):
+    """head + b_1/(a_1 + b_2/(a_2 + ...)) as (b_i, a_i) pairs; regular if every b_i is 1."""
 
-    __slots__ = ("entries", "head")
+    head: object
+    pairs: tuple  # ((b_1, a_1), (b_2, a_2), ...)
 
-    def __init__(self, entries: tuple, head=None):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "head", head)
+    @property
+    def entries(self) -> tuple:
+        """The partial denominators a_1, ..., a_n."""
+        return tuple(a for _, a in self.pairs)
 
-    def __len__(self) -> int:
-        return len(self.entries)
 
-    def negate(self) -> Word:
-        head = None if self.head is None else -self.head
-        return Word(tuple(-a for a in self.entries), head)
-
-    def reverse(self) -> Word:
-        """Reverse the entries (the head, when present, stays in front)."""
-        return Word(tuple(reversed(self.entries)), self.head)
-
-    def symbols(self) -> list:
-        return ([self.head] if self.head is not None else []) + list(self.entries)
+def regular_cf(symbols) -> IrregularCF:
+    """[a_0; a_1, ..., a_n] = a_0 + 1/(a_1 + 1/(...)) from its partial quotients."""
+    if not symbols:
+        raise ValueError("cannot evaluate an empty continued fraction")
+    return IrregularCF(symbols[0], tuple((1, a) for a in symbols[1:]))
 
 
 class ContinuantMatrix(NamedTuple):
@@ -113,33 +107,14 @@ def _identity_like(sample) -> ContinuantMatrix:
     return ContinuantMatrix(one, zero, zero, one)
 
 
-def continuants(word: Word) -> ContinuantMatrix:
-    """Product of the (a_i, 1; 1, 0) matrices over head and entries.
-
-    Satisfies p_n = a_n p_{n-1} + p_{n-2} and the determinant law
-    q_n p_{n-1} - p_n q_{n-1} = (-1)^n.
-    """
-    return irregular_continuants(_unit_numerators(word))
-
-
-def _unit_numerators(word: Word) -> IrregularCF:
-    """[a_0; a_1, ..., a_n] as a_0 + 1/(a_1 + 1/(...)), the form both
-    ``continuants`` and ``eval_regular`` read; an empty word has neither."""
-    symbols = word.symbols()
-    if not symbols:
-        raise ValueError("cannot evaluate an empty continued fraction")
-    return IrregularCF(symbols[0], tuple((1, a) for a in symbols[1:]))
-
-
-def eval_regular(word: Word, point=None):
-    """Back-to-front value of [a_0; a_1, ..., a_n].
-
-    Entries may be ring constants, or Polynomial/RationalFunction values
-    evaluated at ``point`` (pass point=None to keep symbolic entries as-is).
-    Raises DivisionByZero carrying the index of the subfraction whose value
-    vanished where its reciprocal was needed; zero tests are exact.
-    """
-    return eval_irregular(_unit_numerators(word), point)
+def continuants(cf: IrregularCF) -> ContinuantMatrix:
+    """Convergents via p_n = a_n p_{n-1} + b_n p_{n-2} (likewise for q) in pure ring
+    arithmetic, cheap for polynomial entries of large degree.  A regular CF
+    [a_0; a_1, ..., a_n] satisfies the determinant law q_n p_{n-1} - p_n q_{n-1} = (-1)^n."""
+    mat = _identity_like(cf.head).push(cf.head)
+    for b, a in cf.pairs:
+        mat = mat.push(a, b)
+    return mat
 
 
 def _at(a, point):
@@ -157,20 +132,15 @@ def _divide(b, v):
     return _exact_div(b, v)
 
 
-class IrregularCF(NamedTuple):
-    """a_0 + b_1/(a_1 + b_2/(a_2 + ...)) stored as (b_i, a_i) pairs."""
-
-    a0: object
-    pairs: tuple  # ((b_1, a_1), (b_2, a_2), ...)
-
-
 def eval_irregular(cf: IrregularCF, point=None):
-    """Back-to-front value of an irregular continued fraction.
+    """Back-to-front value of a continued fraction.
 
+    Entries may be ring constants, or Polynomial/RationalFunction values
+    evaluated at ``point`` (pass point=None to keep symbolic entries as-is).
     DivisionByZero carries the level of the vanishing subfraction (the one
-    starting at a_k has level k; a_0 is level 0).
+    starting at a_k has level k; the head is level 0); zero tests are exact.
     """
-    partials = (cf.a0,) + tuple(a for _, a in cf.pairs)
+    partials = (cf.head, *cf.entries)
     acc = _at(partials[-1], point)
     for depth in range(len(cf.pairs), 0, -1):
         if not acc:
@@ -178,18 +148,6 @@ def eval_irregular(cf: IrregularCF, point=None):
         b = _at(cf.pairs[depth - 1][0], point)
         acc = _at(partials[depth - 1], point) + _divide(b, acc)
     return acc
-
-
-def irregular_continuants(cf: IrregularCF) -> ContinuantMatrix:
-    """Convergents of an irregular CF via p_n = a_n p_{n-1} + b_n p_{n-2}.
-
-    Pure ring arithmetic (no quotient normalization), so it stays cheap for
-    polynomial entries of large degree.
-    """
-    mat = _identity_like(cf.a0).push(cf.a0)
-    for b, a in cf.pairs:
-        mat = mat.push(a, b)
-    return mat
 
 
 def fold_matrix(a, c, length: int, t) -> ContinuantMatrix:
@@ -201,7 +159,7 @@ def fold_matrix(a, c, length: int, t) -> ContinuantMatrix:
     return ContinuantMatrix(st * (a * a), 1 - stac, stac + 1, -st * (c * c))
 
 
-def euclid_cf(f: RationalFunction) -> Word:
+def euclid_cf(f: RationalFunction) -> IrregularCF:
     """Regular continued fraction of a rational function by polynomial Euclid.
 
     Partial quotients are the successive polynomial quotients; continuants
@@ -217,9 +175,7 @@ def euclid_cf(f: RationalFunction) -> Word:
         num, den = den, r
         if r.is_zero():
             break
-    if not quotients:
-        quotients = [Polynomial.zero()]
-    return Word(tuple(quotients[1:]), quotients[0])
+    return regular_cf(quotients or [Polynomial.zero()])
 
 
 # ---------------------------------------------------------------------------

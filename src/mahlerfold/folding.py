@@ -24,7 +24,7 @@ from collections import deque
 from itertools import chain, count, islice
 from typing import NamedTuple
 
-from .contfrac import ContinuantMatrix, Word, _identity_like, euclid_cf, eval_irregular, fold_matrix, IrregularCF
+from .contfrac import ContinuantMatrix, IrregularCF, _identity_like, euclid_cf, eval_irregular, fold_matrix, regular_cf
 from .poly import Polynomial, RationalFunction, _Record, check_size
 from .series import TruncatedSeries
 
@@ -440,7 +440,7 @@ _X = Polynomial.x()
 _ONE = Polynomial.one()
 
 
-def specialize(head: Polynomial, word: list[int]) -> Word:
+def specialize(head: Polynomial, word: list[int]) -> IrregularCF:
     """Rewrite [head; (+-x)*] as a regular CF by repeated ripple steps.
 
     Scans left to right applying the exact identities
@@ -465,7 +465,7 @@ def specialize(head: Polynomial, word: list[int]) -> Word:
             out.append(_ONE)
             out.append(x_minus_1)
             flipped = not flipped
-    return Word(tuple(out[1:]), out[0])
+    return regular_cf(out)
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +723,8 @@ def specializable_iterated(f: Polynomial, mode: str, n_max: int) -> Specializabl
             value = eval_irregular(
                 IrregularCF(Polynomial.x(), pairs), RationalFunction.x()
             )
-        word = euclid_cf(value)
-        for sym in word.symbols():
+        cf = euclid_cf(value)
+        for sym in (cf.head, *cf.entries):
             if not sym.is_integer():
                 return SpecializableReport(mode, False, n_max, fails_at=n, witness=sym)
     return SpecializableReport(mode, True, n_max)

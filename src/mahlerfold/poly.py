@@ -269,15 +269,17 @@ class Polynomial(_Exact):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Polynomial:
-        """self^n, refused first past deg*n + 1 coefficients or, for p = P/d (P
-        integral), n*ceil(log2 max(||P||_1, d)) bits a coefficient: |[x^k] P^n| <= ||P||_1^n."""
+        """self^n, refused first past deg*n + 1 coefficients or, for p = P/d (P integral), past
+        2^20 bits in all: n*ceil(log2 max(||P||_1, d)) bits a term (|[x^k] P^n| <= ||P||_1^n)
+        times its terms, one for a single-term base and deg*n + 1 for any other."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        check_size("power's coefficient count", self.degree * n + 1)
+        terms = check_size("power's coefficient count", self.degree * n + 1)
         if {int, Fraction}.issuperset(map(type, self.coeffs)):
             d = lcm(*(c.denominator for c in self.coeffs))
             norm = max(int(sum(map(abs, self.coeffs)) * d), d)
-            check_size("power's coefficient bits", n * (norm - 1).bit_length(), MAX_RESULT_BITS_LOG2)
+            terms = terms if sum(map(bool, self.coeffs)) > 1 else 1
+            check_size("power's bits", terms * n * (norm - 1).bit_length(), MAX_RESULT_BITS_LOG2)
         return _power(self, n, Polynomial.one())
 
     def _coerce(self, other):

@@ -10,7 +10,7 @@ No command reaches these, so they live beside the tests rather than in
 
 import mpmath as mp
 
-from mahlerfold.contfrac import ContinuantMatrix, Word, eval_regular, rho_at_root_of_unity
+from mahlerfold.contfrac import ContinuantMatrix, IrregularCF, eval_irregular, regular_cf, rho_at_root_of_unity
 from mahlerfold.fiblucas import _eval_rf, fib, lucas
 from mahlerfold.folding import FoldEngine, iterate_fold, rho_head, specialize
 from mahlerfold.poly import Polynomial, RationalFunction
@@ -43,12 +43,12 @@ def baum_sweet(n: int) -> int:
     return 1
 
 
-def word_to_cf(head: Polynomial, word: list[int]) -> Word:
-    """[head; signs * x] as a Word over Q[x]."""
+def word_to_cf(head: Polynomial, word: list[int]) -> IrregularCF:
+    """[head; signs * x] as a regular continued fraction over Q[x]."""
     if not isinstance(head, Polynomial):
         head = Polynomial.constant(head)
     x = Polynomial.x()
-    return Word(tuple(x if s > 0 else -x for s in word), head)
+    return regular_cf([head, *(x if s > 0 else -x for s in word)])
 
 
 def fold_continuants_series(spec, n: int, order: int, head=None) -> ContinuantMatrix:
@@ -63,7 +63,7 @@ def specialized_digits(spec, n: int, x_value: int, count: int) -> list[int]:
     word = iterate_fold(spec, n)
     sp = specialize(rho_head(n), word)
     out = []
-    for sym in sp.symbols():
+    for sym in (sp.head, *sp.entries):
         out.append(int(sym(x_value)))
         if len(out) >= count:
             break
@@ -82,7 +82,7 @@ def rho_sum_over_roots(n: int, precision: int = 256):
         return total
 
 
-def lambda_word(n: int, plus: bool = False) -> Word:
+def lambda_word(n: int, plus: bool = False) -> IrregularCF:
     """lambda_n = [x; x^2, x^4, ..., x^(2^n)]; with ``plus`` the last entry gains +1.
 
     Conventions follow the recursions lambda_n = x + 1/lambda_{n-1}(x^2) with
@@ -93,21 +93,21 @@ def lambda_word(n: int, plus: bool = False) -> Word:
     return _lambda(n, Polynomial.x(), plus, Polynomial.monomial)
 
 
-def _lambda(n: int, x, plus: bool, power) -> Word:
-    """The word of ``lambda_word`` with head x and entries ``power(2^i)``."""
+def _lambda(n: int, x, plus: bool, power) -> IrregularCF:
+    """The continued fraction of ``lambda_word`` with head x and entries ``power(2^i)``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if plus and n < 2:
-        return Word((), x + 1 if n else x * 0 + 1)
+        return regular_cf([x + 1 if n else x * 0 + 1])
     entries = [power(1 << i) for i in range(1, n if plus else n + 1)]
     if plus:
         entries[-1] += 1
-    return Word(tuple(entries), x)
+    return regular_cf([x, *entries])
 
 
 def lambda_value(n: int, x, plus: bool = False):
     """lambda_n (or lambda_n^+) at a point, back-to-front."""
-    return eval_regular(_lambda(n, x, plus, lambda e: x**e))
+    return eval_irregular(_lambda(n, x, plus, lambda e: x**e))
 
 
 def binet_residual(n: int) -> QuadNum:

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,8 @@ def test_fib_identity_table_row(capsys):
         ["cf", "eval", "--word", '{"entries": 5}'],
         ["cf", "eval", "--word", '{"entries": null}'],
         ["cf", "eval", "--word", '{"entries": true}'],
+        ["cf", "eval", "--word", "{}"],
+        ["cf", "eval", "--word", '{"entries": []}'],
         ["cf", "rho", "--point", "1j/2"],
         ["cf", "rho", "--point", "1/2j"],
         ["cf", "eval", "--word", '{"head": 1, "entries": [2, 3]}', "--at", "1j/2"],
@@ -354,6 +357,30 @@ def test_cf_rho_prints_past_str_digit_limit(capsys):
         assert out == f"value: {rho_value(16, Fraction(1, 2))}\n"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _digits(n: int) -> str:
+    """n in decimal by way of Decimal, which the int-to-str digit limit does not guard."""
+    return str(Decimal(n))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+@pytest.mark.parametrize("argv, expected", [
+    (["cf", "euclid", "--num", "3^14000", "--den", "1"],
+     lambda: f"head: {_digits(3**14000)}\nentries: []\n"),
+    (["hadamard", "complete", "--rational", "1/(3^14000*q-1)"],
+     lambda: f"complete: False\nwitness: -1 + {_digits(3**14000)}*x\n"),
+    (["hadamard", "product", "--a", "1/(1-2*q)", "--b", "1/(1-3*q)", "--order", "8000"],
+     lambda: f"name: (1/(1-2*q))*(1/(1-3*q))\norder: 8000\ncoeffs: {[_digits(6**k) for k in range(8001)]}\n"),
+], ids=["cf-euclid", "hadamard-complete", "hadamard-product"])
+def test_exact_values_print_past_str_digit_limit(capsys, argv, expected):
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, *argv)
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0
+    assert out == expected()
 
 
 def test_cf_rho_cost_guard(capsys):
@@ -607,8 +634,10 @@ def _address_space_2gb():
     (["cf", "euclid", "--num", "x^99999999999", "--den", "1"],
      "power's coefficient count 100000000000 is over the cap of 2^24 = 16777216"),
     (["cf", "euclid", "--num", "2^99999999999", "--den", "1"],
-     "power's coefficient bits 99999999999 is over the cap of 2^20 = 1048576"),
+     "power's bits 99999999999 is over the cap of 2^20 = 1048576"),
     (["cf", "euclid", "--num", "(1+x)^100000000", "--den", "1"], "power's coefficient count 100000001"),
+    (["cf", "euclid", "--num", "(1+x)^1000000", "--den", "1"],
+     "power's bits 1000001000000 is over the cap of 2^20 = 1048576"),
     (["hadamard", "product", "--a", "F", "--b", "1/(1-q^100000000)", "--order", "16"],
      "power's coefficient count 100000001"),
     (["cf", "euclid", "--num", "(" * 2000 + "x" + ")" * 2000, "--den", "1"],
@@ -626,7 +655,8 @@ def _address_space_2gb():
     (["fold", "check", "--id", "e-words", "--n", "40"],
      "e-words at level 40: w_41 would pass the cap of 8388608 letters"),
 ], ids=["rho-theorem-level", "cohn-degree", "rho-theorem-huge-level", "fib-huge-terms",
-        "cf-rho-huge-n-exact", "power-degree", "power-bits", "power-binomial", "hadamard-power",
+        "cf-rho-huge-n-exact", "power-degree", "power-bits", "power-binomial", "power-binomial-bits",
+        "hadamard-power",
         "nested-parentheses", "prefix-signs", "cf-rho-numeric-n", "bits-fib", "bits-cf-rho",
         "cf-eval-decimal-exponent", "cf-eval-json-exponent", "e-words-level"])
 def test_costly_requests_are_refused_before_the_work(argv, message):

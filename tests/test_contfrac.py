@@ -10,14 +10,12 @@ from mahlerfold.contfrac import (
     ContinuantMatrix,
     DivisionByZero,
     IrregularCF,
-    Word,
     _unwind_rho,
     continuants,
     euclid_cf,
     eval_irregular,
-    eval_regular,
     fold_matrix,
-    irregular_continuants,
+    regular_cf,
     rho_at_root_of_unity,
     rho_cf,
     rho_value,
@@ -31,20 +29,19 @@ P = Polynomial
 
 
 def test_continuants_1_2_3():
-    mat = continuants(Word((2, 3), head=1))
+    mat = continuants(regular_cf([1, 2, 3]))
     assert (mat.p, mat.q) == (10, 7)
 
 
 def test_continuants_head_only():
-    mat = continuants(Word((), head=Fraction(5)))
+    mat = continuants(regular_cf([Fraction(5)]))
     assert mat.p == 5 and mat.q == 1
 
 
 def test_continuants_dragon_p3():
     # literal Key Lemma product for [1; p_3]; the convergent's reduced
     # denominator is x^7 as stated for the dragon construction
-    word = Word(tuple(P([0, s]) for s in (1, 1, -1, 1, 1, -1, -1)), P.one())
-    mat = continuants(word)
+    mat = continuants(regular_cf([P.one(), *(P([0, s]) for s in (1, 1, -1, 1, 1, -1, -1))]))
     assert mat.p == P([1, 0, 0, 0, 1, 0, -1, -1])  # 1 + x^4 - x^6 - x^7
     assert mat.q == P.monomial(7, -1)
     ratio = mat.ratio()
@@ -53,9 +50,8 @@ def test_continuants_dragon_p3():
 
 
 def test_recursion_p_n():
-    word = Word((Fraction(2), Fraction(4), Fraction(6)), head=Fraction(3))
-    full = continuants(word)
-    shorter = continuants(Word((Fraction(2), Fraction(4)), head=Fraction(3)))
+    full = continuants(regular_cf([Fraction(3), Fraction(2), Fraction(4), Fraction(6)]))
+    shorter = continuants(regular_cf([Fraction(3), Fraction(2), Fraction(4)]))
     assert full.p == 6 * shorter.p + shorter.p_prev
     assert full.q == 6 * shorter.q + shorter.q_prev
 
@@ -64,37 +60,26 @@ def test_recursion_p_n():
        st.integers(-8, 8))
 @settings(max_examples=120, deadline=None)
 def test_determinant_law(entries, head):
-    word = Word(tuple(Fraction(e) for e in entries), Fraction(head))
+    cf = regular_cf([Fraction(head), *map(Fraction, entries)])
     n = len(entries)  # index of the last symbol, head = index 0
-    assert continuants(word).det() == (-1) ** (n + 1)
-
-
-@given(st.lists(st.integers(-6, 6).filter(bool), min_size=0, max_size=8), st.integers(-6, 6))
-@settings(max_examples=60, deadline=None)
-def test_negate_reverse_involutions_commute(entries, head):
-    word = Word(tuple(entries), head)
-    assert word.negate().negate() == word
-    assert word.reverse().reverse() == word
-    assert word.negate().reverse() == word.reverse().negate()
+    assert continuants(cf).det() == (-1) ** (n + 1)
 
 
 def test_fold_value_scalar():
     from mahlerfold.folding import FoldEngine, iterate_fold
 
-    word = Word(
-        tuple(Fraction(2 * s) for s in iterate_fold("rho", 4)), Fraction(1)
-    )
+    cf = regular_cf([Fraction(1), *(Fraction(2 * s) for s in iterate_fold("rho", 4))])
     engine = FoldEngine("rho", Fraction(2))
-    assert engine.with_head(4, Fraction(1)).ratio() == eval_regular(word)
+    assert engine.with_head(4, Fraction(1)).ratio() == eval_irregular(cf)
 
 
 @given(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=9))
 @settings(max_examples=80, deadline=None)
 def test_negation_law(entries):
-    word = Word(tuple(Fraction(e) for e in entries))
+    symbols = [Fraction(e) for e in entries]
     m = len(entries)
-    mat = continuants(word)
-    neg = continuants(word.negate())
+    mat = continuants(regular_cf(symbols))
+    neg = continuants(regular_cf([-a for a in symbols]))
     sign = (-1) ** m
     assert neg.p == sign * mat.p
     assert neg.q == -sign * mat.q
@@ -105,9 +90,9 @@ def test_negation_law(entries):
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=10), st.integers(-9, 9))
 @settings(max_examples=100, deadline=None)
 def test_eval_matches_continuants(entries, head):
-    word = Word(tuple(Fraction(e) for e in entries), Fraction(head))
-    mat = continuants(word)
-    assert eval_regular(word) == Fraction(mat.p, mat.q)
+    cf = regular_cf([Fraction(head), *map(Fraction, entries)])
+    mat = continuants(cf)
+    assert eval_irregular(cf) == Fraction(mat.p, mat.q)
 
 
 @given(st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=10),
@@ -116,10 +101,10 @@ def test_eval_matches_continuants(entries, head):
 def test_eval_matches_continuants_mixed_signs(entries, head):
     # with negative entries intermediate denominators may vanish; whenever
     # they do not, the back-to-front value equals the continuant ratio
-    word = Word(tuple(Fraction(e) for e in entries), Fraction(head))
-    mat = continuants(word)
+    cf = regular_cf([Fraction(head), *map(Fraction, entries)])
+    mat = continuants(cf)
     try:
-        value = eval_regular(word)
+        value = eval_irregular(cf)
     except DivisionByZero:
         return
     if mat.q:
@@ -141,23 +126,28 @@ def _factor(a, b=1):
     return ContinuantMatrix(a, 1, b, 0)
 
 
+def _symbols(entries, head):
+    """A word's partial quotients as ``cf eval`` reads them: with no head, the first entry heads."""
+    return list(entries) if head is None else [head, *entries]
+
+
 @given(st.lists(_scalars, min_size=1, max_size=10), st.one_of(st.none(), _scalars))
 @settings(max_examples=150, deadline=None)
 def test_continuants_equal_literal_product(entries, head):
-    word = Word(tuple(entries), head)
+    symbols = _symbols(entries, head)
     literal = ContinuantMatrix(1, 0, 0, 1)
-    for a in word.symbols():
+    for a in symbols:
         literal = literal.mul(_factor(a))
-    assert continuants(word) == literal
+    assert continuants(regular_cf(symbols)) == literal
 
 
 @given(_scalars, st.lists(st.tuples(_scalars, _scalars), max_size=8))
 @settings(max_examples=150, deadline=None)
-def test_irregular_continuants_equal_literal_product(a0, pairs):
-    literal = _factor(a0)
+def test_irregular_continuants_equal_literal_product(head, pairs):
+    literal = _factor(head)
     for b, a in pairs:
         literal = literal.mul(_factor(a, b))
-    assert irregular_continuants(IrregularCF(a0, tuple(pairs))) == literal
+    assert continuants(IrregularCF(head, tuple(pairs))) == literal
 
 
 def _literal_back_to_front(symbols):
@@ -173,12 +163,12 @@ def _literal_back_to_front(symbols):
 @given(st.lists(_scalars, min_size=1, max_size=10), st.one_of(st.none(), _scalars))
 @settings(max_examples=200, deadline=None)
 def test_eval_regular_matches_literal_loop(entries, head):
-    word = Word(tuple(entries), head)
+    symbols = _symbols(entries, head)
     try:
-        got = "value", eval_regular(word)
+        got = "value", eval_irregular(regular_cf(symbols))
     except DivisionByZero as exc:
         got = "undefined", exc.depth
-    assert got == _literal_back_to_front(word.symbols())
+    assert got == _literal_back_to_front(symbols)
 
 
 def test_integral_quotients_are_int():
@@ -186,24 +176,22 @@ def test_integral_quotients_are_int():
 
     for value, expected in [
         (RationalFunction(P([0, 2]))(3), 6),
-        (eval_regular(Word((1,), head=1)), 2),
+        (eval_irregular(regular_cf([1, 1])), 2),
         (FoldEngine("dragon", 1).with_head(1, 1).ratio(), 2),
     ]:
         assert type(value) is int and value == expected
-    assert continuants(Word((2,), head=2)).ratio() == Fraction(5, 2)
+    assert continuants(regular_cf([2, 2])).ratio() == Fraction(5, 2)
 
 
 def test_eval_regular_phi():
-    word = Word((1,) * 40, head=1)
-    value = eval_regular(word)
+    value = eval_irregular(regular_cf([1] * 41))
     phi = (1 + mp.sqrt(5)) / 2
     assert abs(mp.mpf(value.numerator) / value.denominator - phi) < mp.mpf(10) ** -15
 
 
 def test_eval_simple():
     # [1; x, x] at x=2 -> 1 + 1/(2 + 1/2) = 7/5
-    word = Word((P.x(), P.x()), P.one())
-    assert eval_regular(word, Fraction(2)) == Fraction(7, 5)
+    assert eval_irregular(regular_cf([P.one(), P.x(), P.x()]), Fraction(2)) == Fraction(7, 5)
 
 
 def test_lambda_division_by_zero_at_zeta12():
@@ -211,10 +199,10 @@ def test_lambda_division_by_zero_at_zeta12():
     # -1 + 1 = 0 exactly, so the head's reciprocal does not exist
     i = GaussianRational(0, 1)
     with pytest.raises(DivisionByZero) as err:
-        eval_regular(lambda_word(2), i)
+        eval_irregular(lambda_word(2), i)
     assert err.value.depth == 1
     # one level deeper the evaluation goes through: i + 1/(-1 + 1/(1 + 1/1))
-    assert eval_regular(lambda_word(3), i) == GaussianRational(-2, 1)
+    assert eval_irregular(lambda_word(3), i) == GaussianRational(-2, 1)
 
 
 def _neg_arg(p):
@@ -237,7 +225,7 @@ def test_rho_cf_rational_form():
 def test_irregular_continuants_match_rho():
     # the convergent recurrence gives exactly (H_n(x), H_{n-1}(x^2))
     for n in range(0, 12):
-        mat = irregular_continuants(rho_cf(n))
+        mat = continuants(rho_cf(n))
         assert mat.p == truncated_partial("H", n)
         assert mat.q == truncated_partial("H", n - 1).substitute_power(2)
 
@@ -245,7 +233,7 @@ def test_irregular_continuants_match_rho():
 def test_rho_plus_minus_two():
     # rho_n(x) + rho_n(-x) = 2, cross-multiplied to a polynomial identity
     for n in range(0, 11):
-        mat = irregular_continuants(rho_cf(n))
+        mat = continuants(rho_cf(n))
         p_neg, q_neg = _neg_arg(mat.p), _neg_arg(mat.q)
         assert mat.p * q_neg + p_neg * mat.q == 2 * (mat.q * q_neg)
 
@@ -256,7 +244,7 @@ def test_lambda_equals_x_rho_xminus3():
     # prefactor cleared, then compared by cross-multiplication
     for n in range(0, 9):
         lam = continuants(lambda_word(n))
-        rho = irregular_continuants(rho_cf(n))
+        rho = continuants(rho_cf(n))
         m = max(rho.p.degree, rho.q.degree)
         num = rho.p.reverse(m).substitute_power(3)
         den = rho.q.reverse(m).substitute_power(3)
@@ -278,7 +266,7 @@ def _fold(entries, a0, t) -> ContinuantMatrix:
     for e in entries:
         m_w = m_w.push(e)  # M(w), whose first column is (a, c)
     mat = ContinuantMatrix(a0, 1, 1, 0).mul(fold_matrix(m_w.p, m_w.q, len(entries), t))
-    folded = Word(tuple(entries) + (t,) + tuple(-e for e in reversed(entries)), a0)
+    folded = regular_cf([a0, *entries, t, *(-e for e in reversed(entries))])
     assert mat == continuants(folded)
     return mat
 
@@ -294,7 +282,7 @@ def test_fold_lemma_small():
 
 def test_fold_one_step():
     mat = _fold((), Fraction(1), Fraction(3))
-    assert eval_regular(Word((Fraction(3),), Fraction(1))) == Fraction(4, 3)
+    assert eval_irregular(regular_cf([Fraction(1), Fraction(3)])) == Fraction(4, 3)
     assert mat.p == 4 and mat.q == 3
 
 
@@ -303,7 +291,7 @@ def test_fold_one_step():
 @settings(max_examples=100, deadline=None)
 def test_folding_lemma_identity(entries, head, t):
     entries = tuple(Fraction(e) for e in entries)
-    base = continuants(Word(entries, Fraction(head)))
+    base = continuants(regular_cf([Fraction(head), *entries]))
     s = (-1) ** len(entries)
     mat = _fold(entries, Fraction(head), Fraction(t))
     assert mat.p == s * (base.q * base.p * t + s)
@@ -317,7 +305,7 @@ def test_folding_lemma_polynomial_words():
     x = P.x()
     for length in (*range(8), 31, 64):
         entries = tuple(x if rng.random() < 0.5 else -x for _ in range(length))
-        base = continuants(Word(entries, P.one()))
+        base = continuants(regular_cf([P.one(), *entries]))
         s = (-1) ** length
         mat = _fold(entries, P.one(), x)
         assert mat.p == s * (base.q * base.p * x + s)
@@ -410,7 +398,7 @@ def test_rho_cf_is_H_quotient_below_2_to_n_plus_1():
     # index 2^(n+1) - 1 and not at that index
     for n in range(1, 9):
         order = (1 << (n + 1)) - 1
-        rho = _series_quotient(irregular_continuants(rho_cf(n)), order)
+        rho = _series_quotient(continuants(rho_cf(n)), order)
         assert rho.first_difference(_mahler_quotient("H", 2, order)) == order
 
 
@@ -486,7 +474,7 @@ def _assert_telescopes(mat, name, order):
 
 
 def test_product_to_H():
-    _assert_telescopes(irregular_continuants(rho_cf(8)), "H", 511)
+    _assert_telescopes(continuants(rho_cf(8)), "H", 511)
 
 
 def test_product_to_I_lambda_analogue():

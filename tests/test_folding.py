@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mahlerfold import folding
-from mahlerfold.contfrac import Word, _identity_like, continuants, euclid_cf
+from mahlerfold.contfrac import IrregularCF, _identity_like, continuants, euclid_cf, regular_cf
 from mahlerfold.folding import (
     FoldEngine,
     FoldSpec,
@@ -82,7 +82,7 @@ def mul_path_matrices(spec: FoldSpec, x, n: int) -> list:
     return [mat for mat, _ in islice(images, n + 1)]
 
 
-def specialize_by_slicing(head: Polynomial, word: list[int]) -> Word:
+def specialize_by_slicing(head: Polynomial, word: list[int]) -> IrregularCF:
     """Reference ripple implementation with literal tail negation (O(L^2));
     kept as an independent cross-check of :func:`specialize`."""
     if not isinstance(head, Polynomial):
@@ -98,14 +98,14 @@ def specialize_by_slicing(head: Polynomial, word: list[int]) -> Word:
             i += 2  # inserted entries are positive; the negated tail may not be
         else:
             i += 1
-    return Word(tuple(seq[1:]), seq[0])
+    return regular_cf(seq)
 
 
 def _is_negative_lead(p: Polynomial) -> bool:
     return bool(p.coeffs) and p.coeffs[-1] < 0
 
 
-def specialize_three_step(head: Polynomial, word: list[int]) -> Word:
+def specialize_three_step(head: Polynomial, word: list[int]) -> IrregularCF:
     """The insert-1 / drop-signs / subtract-neighbours shortcut.
 
     Only defined for words whose first letter is +x; used as an independent
@@ -114,7 +114,7 @@ def specialize_three_step(head: Polynomial, word: list[int]) -> Word:
     if not isinstance(head, Polynomial):
         head = Polynomial.constant(head)
     if not word:
-        return Word((), head)
+        return regular_cf([head])
     if word[0] < 0:
         raise ValueError("three-step shortcut requires a leading +x")
     marked: list[int | None] = []  # None marks an inserted 1
@@ -131,7 +131,7 @@ def specialize_three_step(head: Polynomial, word: list[int]) -> Word:
                 i + 1 < len(marked) and marked[i + 1] is None
             )
             entries.append(P.x() - drop)
-    return Word(tuple(entries), head)
+    return regular_cf([head, *entries])
 
 
 # -- DSL ----------------------------------------------------------------------
@@ -328,7 +328,7 @@ def test_walker_words_and_lengths_match_literal_recursion(spec, n):
 @given(small_specs(), st.integers(0, 5), st.integers(-3, 3), st.integers(-3, 3))
 def test_engine_with_head_matches_literal_continuants(spec, n, t, head):
     word = literal_words(spec, n)[n]
-    direct = continuants(Word(tuple(s * t for s in word), head))
+    direct = continuants(regular_cf([head, *(s * t for s in word)]))
     assert _promised(spec, FoldEngine(spec, t).with_head(n, head)) == _promised(spec, direct)
 
 

@@ -55,6 +55,8 @@ CASES = {
                               "--at", "1/3"],
     "cf-eval-poly-at-decimal-half": ["cf", "eval", "--word",
                                      '{"head": "x", "entries": ["x^2", "-x"]}', "--at", "0.5"],
+    # without a head the first entry heads the continued fraction: [2; 3] = 7/3
+    "cf-eval-headless": ["cf", "eval", "--word", '{"entries": [2, 3]}'],
     # JSON decimal numbers are read as written, as their strings are
     "cf-eval-decimal-json": ["cf", "eval", "--word", '{"head": 0.1, "entries": [0.25]}'],
     "fold-iterate-dragon-6-continuants": ["fold", "iterate", "--spec", "dragon", "--n", "6",

@@ -18,8 +18,8 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 PACKAGE_NAMES = """
 Polynomial RationalFunction parse_poly parse_rational PHI SQRT5 GaussianRational QuadNum
 MahlerEquation MahlerSolveError TruncatedSeries expand_named solve_mahler truncated_partial
-IdentityReport ContinuantMatrix DivisionByZero IrregularCF Word continuants euclid_cf
-eval_irregular eval_regular rho_at_root_of_unity rho_cf rho_value FoldEngine
+IdentityReport ContinuantMatrix DivisionByZero IrregularCF continuants euclid_cf
+eval_irregular regular_cf rho_at_root_of_unity rho_cf rho_value FoldEngine
 FoldSpec FoldSyntaxError cohn_congruence_test fold_continuants ij_system_check
 iterate_fold named_spec parse_fold_spec sign_generating_functions special_recursion_polys
 specializable_iterated specialize LatticePath export_svg path_from_signs self_crossing
@@ -141,7 +141,7 @@ def test_cli_import_builds_one_dataclass():
 
 
 def test_records_compare_hash_and_refuse_assignment():
-    from mahlerfold.contfrac import Word
+    from mahlerfold.contfrac import IrregularCF
     from mahlerfold.folding import FoldSpec, RuleConst, RuleFold, RuleRef, _find_folds, named_spec
     from mahlerfold.poly import Polynomial
     from mahlerfold.series import MahlerEquation
@@ -158,11 +158,10 @@ def test_records_compare_hash_and_refuse_assignment():
     same = FoldSpec(spec.bases, spec.rule)
     assert same == spec and hash(same) == hash(spec) and same.folds == spec.folds
     assert len({RuleConst(-1), RuleConst(-1), RuleRef(1), spec, same}) == 3
-    assert repr(Word((1, 2), 3)) == "Word(entries=(1, 2), head=3)" and len(Word((1, 2))) == 2
     assert repr(spec) == f"FoldSpec(bases={spec.bases!r}, rule={spec.rule!r})"
     eq = MahlerEquation(2, [Polynomial.one()])
     for record, name in ((RuleConst(1), "sign"), (RuleRef(1), "depth"), (spec, "rule"),
-                         (spec, "folds"), (Word((1,)), "head"), (eq, "k")):
+                         (spec, "folds"), (IrregularCF(1, ()), "head"), (eq, "k")):
         try:
             setattr(record, name, None)
         except AttributeError:

@@ -356,10 +356,11 @@ def test_power_is_square_and_multiply():
 
 @pytest.mark.parametrize("text, message", [
     ("x^99999999999", "power's coefficient count 100000000000 is over the cap of 2^24 = 16777216"),
-    ("2^99999999999", "power's coefficient bits 99999999999 is over the cap of 2^20 = 1048576"),
+    ("2^99999999999", "power's bits 99999999999 is over the cap of 2^20 = 1048576"),
     ("(1+x)^100000000", "power's coefficient count 100000001 is over the cap of 2^24 = 16777216"),
     ("1/(1-q^100000000)", "power's coefficient count 100000001 is over the cap of 2^24 = 16777216"),
-    ("(x/3)^1048577", "power's coefficient bits 2097154 is over the cap of 2^20 = 1048576"),
+    ("(x/3)^1048577", "power's bits 2097154 is over the cap of 2^20 = 1048576"),
+    ("(1+x)^1000000", "power's bits 1000001000000 is over the cap of 2^20 = 1048576"),
 ])
 def test_powers_past_a_cap_are_refused_before_any_product(text, message):
     with pytest.raises(ValueError) as info:

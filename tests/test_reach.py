@@ -51,6 +51,7 @@ CI_REFUSED = [
     ["cf", "euclid", "--num", "x^99999999999", "--den", "1"],
     ["cf", "euclid", "--num", "2^99999999999", "--den", "1"],
     ["cf", "euclid", "--num", "(1+x)^100000000", "--den", "1"],
+    ["cf", "euclid", "--num", "(1+x)^1000000", "--den", "1"],
     ["hadamard", "product", "--a", "F", "--b", "1/(1-q^100000000)", "--order", "16"],
     ["cf", "euclid", "--num", "(" * 2000 + "x" + ")" * 2000, "--den", "1"],
     ["cf", "euclid", "--num=" + "-" * 5000 + "x", "--den", "1"],
@@ -67,6 +68,7 @@ CI_PASSING = [
      "--palette", "two-tone", "--overlay", "rho:8:negrev"],
     ["--json", "fold", "iterate", "--spec", "quintic", "--n", "3", "--continuants"],
     ["curve", "check", "--spec", "dragon", "--n", "10", "--json"],
+    ["cf", "euclid", "--num", "3^14000", "--den", "1"],
 ]
 
 CHILD = r"""
